@@ -6,7 +6,7 @@ dse_serve + dse_loadgen, dse_simworker), checks the outputs, and prints
 one JSON result as the last line of stdout:
 
     python3 perfbench/run.py --workload mem-mcf-active --seed 1 \
-        --seconds 20 --trace 0
+        --seconds 55 --trace 0
 
 --trace 0 measures the end-to-end metrics with the programs' metrics
 off. --trace 1 reruns the workload with --metrics=<json>, times the
@@ -38,24 +38,34 @@ PROBE_BUILD = os.path.join(BUILD_DIR, "perfbench-probe")
 TOOLS = ("dse_explore", "dse_serve", "dse_loadgen", "dse_simworker")
 
 # Study sizes: every study runs to its cap (--target-error=0), so each
-# run of one commit does the same work.
+# run of one commit does the same work. Each workload's traced run also
+# measures one more layer through the shipped tools: the same study
+# against a fresh simulation worker (remote), or a prediction server
+# under closed-loop load (serve). Those two paths are not gated: on a
+# shared host their run-to-run spread exceeds any bound the study
+# times can hold (see README.md).
 STUDIES = {
     "mem-mcf-active": dict(study="memory", app="mcf", flags=["--active"],
-                           batch=10, max_sims=30, remote=False),
+                           batch=10, max_sims=30, extra="remote"),
     "proc-gzip-simpoint": dict(study="processor", app="gzip",
                                flags=["--simpoint"], batch=50,
-                               max_sims=300, remote=False),
-    "mem-mcf-remote": dict(study="memory", app="mcf", flags=["--active"],
-                           batch=10, max_sims=30, remote=True),
+                               max_sims=300, extra="serve"),
 }
-# Closed-loop serve workload: single-point requests against a model the
+# Closed-loop serve sessions: single-point requests against a model the
 # benchmark trains once per source tree, outside every timed window.
 SERVE = dict(study="processor", app="gzip", train_sims=100, workers=2,
              connections=2, session_s=2.0)
-WORKLOADS = tuple(STUDIES) + ("serve-point",)
+WORKLOADS = tuple(STUDIES)
 
-SETUP_LAUNCHES = 10   # extra launch-to-ready samples per run
+# The tools' pool size. Two threads on a host of a few shared cores
+# leave room for the runner and the host's other tenants; a pool as wide
+# as the machine measured the scheduler (proc-gzip-simpoint's wall-time
+# spread was 0.15 at four threads and 0.09 at two, on 4 vCPUs under the
+# same background load).
+THREADS = 2
+SETUP_LAUNCHES = 20   # extra launch-to-ready samples per run
 MIN_REPS = 3          # untraced repetitions even on a slow host
+EXTRA_SHARE = 0.3     # share of a traced run given to its remote/serve part
 CHILD_TIMEOUT_S = 90  # one study or session; a run must end in 180 s
 
 END_TO_END = (
@@ -77,7 +87,7 @@ PER_LAYER = (
     ("ml.score.busy_s", "s"), ("ml.encode.ns_per_point", "ns"),
     ("ml.predict.point_us", "us"), ("ml.io.load_ms", "ms"),
     ("explore.rounds", "count"), ("explore.round_wall_s", "s"),
-    ("serve.rps", "1/s"), ("serve.p99_us", "us"),
+    ("serve.p50_us", "us"), ("serve.p99_us", "us"), ("serve.rps", "1/s"),
     ("serve.batch_points_mean", "count"),
     ("serve.request_busy_s", "s"), ("serve.overloaded", "count"),
     ("serve.protocol_errors", "count"), ("loadgen.timeouts", "count"),
@@ -112,11 +122,15 @@ def work(name):
     return os.path.join(WORK_DIR, name)
 
 
+def threads():
+    return min(THREADS, nproc())
+
+
 def child_env():
     """The caller's environment without any DSE_* knob, so only the
     benchmark's own settings reach the programs."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("DSE_")}
-    env["DSE_THREADS"] = str(nproc())
+    env["DSE_THREADS"] = str(threads())
     return env
 
 
@@ -273,7 +287,7 @@ def fingerprint(root):
         "build_type": bl.cmake_cache_value(cache, "CMAKE_BUILD_TYPE"),
         "git_commit": commit or "none (not a git checkout)",
         "source_digest": bl.source_digest(root),
-        "DSE_THREADS": nproc(),
+        "DSE_THREADS": threads(),
         "serve_workers": SERVE["workers"],
         "serve_connections": SERVE["connections"],
     }
@@ -291,7 +305,9 @@ class Run:
         self.failed = 0
         self.problems = []
         self.setup = []
-        self.samples = []  # (traced, wall s, cpu s) of every repetition
+        # (kind, traced, wall s, cpu s) of every repetition; kind is
+        # local, remote or serve
+        self.samples = []
 
     def op(self, problem=None):
         self.attempted += 1
@@ -319,14 +335,14 @@ class Run:
 
 
 def wait_port_file(path, child, timeout=CHILD_TIMEOUT_S):
-    """Seconds from launch until @p path holds a port, or None."""
+    """The port @p child writes to @p path, or None if it never does."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         try:
             with open(path) as f:
                 text = f.read()
             if text.endswith("\n") and int(text) > 0:
-                return time.monotonic() - child.t0, int(text)
+                return int(text)
         except (OSError, ValueError):
             pass
         if child.exited():
@@ -340,18 +356,33 @@ def start_daemon(argv, port_file, env):
     if os.path.exists(port_file):
         os.remove(port_file)
     child = Child(argv + ["--port=0", f"--port-file={port_file}"], env)
-    ready = wait_port_file(port_file, child)
-    if ready is None:
+    port = wait_port_file(port_file, child)
+    if port is None:
         child.signal(signal.SIGKILL)
         child.wait()
         raise BenchError(f"{os.path.basename(argv[0])} did not start")
-    return child, ready[0], ready[1]
+    return child, port
 
 
 def stop_daemon(run, child, name):
     child.signal(signal.SIGTERM)
     code = child.wait(30)
     run.op(None if code == 0 else f"{name} exited {code} on SIGTERM")
+
+
+def repeat(seconds, rep, min_reps):
+    """Call rep(i) until the next call would overrun @p seconds (and at
+    least @p min_reps times)."""
+    samples, durations = [], []
+    start = time.monotonic()
+    while True:
+        t = time.monotonic()
+        samples.append(rep(len(samples)))
+        durations.append(time.monotonic() - t)
+        elapsed = time.monotonic() - start
+        if (len(samples) >= min_reps
+                and elapsed + bl.median(durations) > seconds):
+            return samples
 
 
 # -------------------------------------------------------------- studies
@@ -367,41 +398,38 @@ def explore_argv(w, traced, metrics_path, port=None):
     return argv
 
 
-def study_rep(run, w, env, traced, setup_only=False):
-    """One dse_explore study (against a fresh simulation worker when the
-    workload is remote). Returns a sample dict, or None when
-    @p setup_only (launch to header, then the study is killed)."""
+def setup_launch(run, w, env):
+    """Launch the local study, record launch-to-header seconds, kill it."""
+    explorer = Child(explore_argv(w, False, None), env)
+    header = explorer.wait_line(bl.is_header)
+    explorer.signal(signal.SIGKILL)
+    explorer.wait()
+    if header is None:
+        run.op("study printed no header line")
+    else:
+        run.setup.append(header)
+
+
+def study_rep(run, w, env, traced, remote=False):
+    """One whole dse_explore study, against a fresh simulation worker
+    when @p remote. Returns its sample dict."""
     metrics_path = work("explore.metrics.json")
     worker_metrics = work("worker.metrics.json")
     for path in (metrics_path, worker_metrics):
         if os.path.exists(path):
             os.remove(path)
-    worker, setup, port = None, 0.0, None
+    worker, port = None, None
     try:
-        if w["remote"]:
+        if remote:
             argv = [tool("dse_simworker")]
             if traced:
                 argv.append(f"--metrics={worker_metrics}")
-            worker, setup, port = start_daemon(argv, work("worker.port"),
-                                               env)
+            worker, port = start_daemon(argv, work("worker.port"), env)
         explorer = Child(explore_argv(w, traced, metrics_path, port), env)
-        header = explorer.wait_line(bl.is_header)
-        if setup_only:
-            explorer.signal(signal.SIGKILL)
         code = explorer.wait()
     finally:
         if worker is not None:
-            if setup_only:
-                worker.signal(signal.SIGKILL)
-                worker.wait()
-            else:
-                stop_daemon(run, worker, "dse_simworker")
-    if header is None:
-        run.op("study printed no header line")
-        return None
-    run.setup.append(setup + header)
-    if setup_only:
-        return None
+            stop_daemon(run, worker, "dse_simworker")
 
     lines = explorer.stdout()
     estimate, problem = bl.check_study_stdout(lines, w["batch"],
@@ -425,8 +453,9 @@ def study_rep(run, w, env, traced, setup_only=False):
                        if len(stamps) == 2 and rounds else 0.0),
         "traced": traced,
     }
-    run.samples.append((traced, sample["wall"], sample["cpu"]))
-    if traced:
+    run.samples.append(("remote" if remote else "local", traced,
+                        sample["wall"], sample["cpu"]))
+    if traced and code == 0:
         with open(metrics_path) as f:
             sample["obs"] = bl.parse_obs_json(f.read())
         if worker:
@@ -443,70 +472,58 @@ def study_key(w):
                      str(w["batch"])])
 
 
-def check_identity(run, w, env, samples):
+def check_identity(run, w, samples):
     """Every repetition's stdout (minus remote: lines) must equal the
-    all-local study's stdout for this source tree, byte for byte."""
-    key = "local-stdout/" + study_key(w)
-    ref = run.cached(key)
-    if ref is None:
-        local = samples[0] if not w["remote"] else study_rep(
-            Run(run.digest, run.seed), dict(w, remote=False), env, False)
-        ref = run.cached(key, local["stdout"].decode())
+    first local study's stdout for this source tree, byte for byte."""
+    ref = run.cached("local-stdout/" + study_key(w),
+                     samples[0]["stdout"].decode())
     for s in samples:
         diff = bl.identity_diff(ref.encode(), s["stdout"])
         run.op(f"stdout differs from the local study: {diff}" if diff
                else None)
 
 
-def check_drift(run, w, obs_reports, worker_reports):
+def check_drift(run, w, kind, samples):
+    """Deterministic counters of every traced repetition must equal the
+    first recorded for this source tree and @p kind of run."""
     counters = []
-    for i, obs in enumerate(obs_reports):
-        c = {n: obs.counter(n) for n in bl.DETERMINISTIC_COUNTERS}
-        if worker_reports:
-            c["remote.worker_points"] = worker_reports[i].counter(
+    for s in samples:
+        c = {n: s["obs"].counter(n) for n in bl.DETERMINISTIC_COUNTERS}
+        if "worker_obs" in s:
+            c["remote.worker_points"] = s["worker_obs"].counter(
                 "remote.worker_points")
         counters.append(c)
-    reference = run.cached(
-        f"counters/{study_key(w)}/{'remote' if w['remote'] else 'local'}",
-        counters[0])
+    reference = run.cached(f"counters/{study_key(w)}/{kind}", counters[0])
     for c in counters:
         drift = bl.counter_drift(reference, c)
         run.op(f"deterministic counters drifted: {drift}" if drift else None)
     return counters[0]
 
 
-def repeat(seconds, rep, min_reps):
-    """Call rep(i) until the next call would overrun @p seconds (and at
-    least @p min_reps times)."""
-    samples, durations = [], []
-    start = time.monotonic()
-    while True:
-        t = time.monotonic()
-        samples.append(rep(len(samples)))
-        durations.append(time.monotonic() - t)
-        elapsed = time.monotonic() - start
-        if (len(samples) >= min_reps
-                and elapsed + bl.median(durations) > seconds):
-            return samples
+def traced_reps(reps):
+    """The traced repetitions that wrote their metrics reports (a failed
+    one is already counted as a failure)."""
+    traced = [s for s in reps if s["traced"] and "obs" in s]
+    if not traced:
+        raise BenchError("no traced repetition wrote a metrics report")
+    return traced
 
 
 def run_study(run, name, seconds, trace, env):
     w = STUDIES[name]
+    # The launches also warm the page cache for the timed repetitions.
     for _ in range(SETUP_LAUNCHES):
-        study_rep(run, w, env, traced=False, setup_only=True)
-    if trace:
-        reps = repeat(seconds, lambda i: study_rep(run, w, env, i % 2 == 1),
-                      2 * 2)
-    else:
+        setup_launch(run, w, env)
+    if not trace:
         reps = repeat(seconds, lambda i: study_rep(run, w, env, False),
                       MIN_REPS)
-    samples = [s for s in reps if s is not None]
-    if len(samples) != len(reps):
-        raise BenchError("a study repetition produced no result")
-    check_identity(run, w, env, samples)
-    plain = [s for s in samples if not s["traced"]]
+    else:
+        reps = repeat((1 - EXTRA_SHARE) * seconds,
+                      lambda i: study_rep(run, w, env, i % 2 == 1), 2 * 2)
+    check_identity(run, w, reps)
+    plain = [s for s in reps if not s["traced"]]
     wall = bl.median([s["wall"] for s in plain])
-    estimates = [s["estimate"] for s in samples if s["estimate"] is not None]
+    estimates = [s["estimate"] for s in reps if s["estimate"] is not None]
     if not estimates:
         raise BenchError("no study reported an estimate")
     metrics = {
@@ -519,13 +536,12 @@ def run_study(run, name, seconds, trace, env):
     if not trace:
         return metrics, {}
 
-    traced = [s for s in samples if s["traced"]]
+    traced = traced_reps(reps)
     obs = [s["obs"] for s in traced]
-    wobs = [s["worker_obs"] for s in traced] if w["remote"] else []
-    counters = check_drift(run, w, obs, wobs)
+    counters = check_drift(run, w, "local", traced)
     o = obs[0]
     traced_wall = bl.median([s["wall"] for s in traced])
-    threads = o.gauge("pool.threads") or nproc()
+    pool = o.gauge("pool.threads") or threads()
     layer = {
         "sim.busy_s": bl.median([x.hist_sum_s("sim.wall_ns") for x in obs]),
         "sim.executed": counters["sim.executed"],
@@ -544,31 +560,21 @@ def run_study(run, name, seconds, trace, env):
             [x.hist_sum_s("explore.score_wall_ns") for x in obs]),
         "explore.rounds": o.counter("explore.rounds"),
         "explore.round_wall_s": bl.median([s["round_wall"] for s in traced]),
-        "remote.dispatched": o.counter("remote.dispatched"),
-        "remote.retries": o.counter("remote.retries"),
-        "remote.redispatches": o.counter("remote.redispatches"),
-        "remote.fallbacks": o.counter("remote.fallbacks"),
-        "util.pool_threads": threads,
+        "util.pool_threads": pool,
         "util.pool_busy_frac": bl.median(
-            [s["explorer_cpu"] / (s["wall"] * threads) for s in traced]),
+            [s["explorer_cpu"] / (s["wall"] * pool) for s in traced]),
         "trace_overhead_frac": traced_wall / wall - 1.0,
     }
     layer["sim.lookups_per_exec"] = (
         layer["sim.requests"] / layer["sim.executed"]
         if layer["sim.executed"] else 0.0)
-    if wobs:
-        wo = wobs[0]
-        layer.update({
-            "remote.worker_points": counters["remote.worker_points"],
-            "remote.worker_sim_busy_s": bl.median(
-                [x.hist_sum_s("sim.wall_ns") for x in wobs]),
-            "remote.worker_sim_lookups_per_exec": (
-                wo.counter("sim.requests") / wo.counter("sim.executed")
-                if wo.counter("sim.executed") else 0.0),
-            "remote.worker_busy_frac": bl.median(
-                [s["worker_cpu"] / (s["wall"] * nproc()) for s in traced]),
-        })
-    layer.update(probe(run, w["study"], w["app"], None))
+    model = None
+    if w["extra"] == "remote":
+        layer.update(remote_layer(run, w, env, seconds))
+    else:
+        model = serve_model(run, env)
+        layer.update(serve_layer(run, model, env, seconds))
+    layer.update(probe(run, w["study"], w["app"], model))
     if layer["explore.points_scored"]:
         share = layer["ml.score.busy_s"] / traced_wall
         log(f"note: committee scoring is {100 * share:.4f}% of the traced "
@@ -577,30 +583,58 @@ def run_study(run, name, seconds, trace, env):
     return metrics, layer
 
 
+def remote_layer(run, w, env, seconds):
+    """The study against a fresh dse_simworker per repetition, traced on
+    both sides; its stdout must match the local study's."""
+    reps = repeat(EXTRA_SHARE * seconds,
+                  lambda i: study_rep(run, w, env, True, remote=True), 2)
+    check_identity(run, w, reps)
+    reps = traced_reps(reps)
+    check_drift(run, w, "remote", reps)
+    obs = [s["obs"] for s in reps]
+    wobs = [s["worker_obs"] for s in reps]
+    o, wo = obs[0], wobs[0]
+    pool = wo.gauge("pool.threads") or threads()
+    return {
+        "remote.dispatched": o.counter("remote.dispatched"),
+        "remote.retries": o.counter("remote.retries"),
+        "remote.redispatches": o.counter("remote.redispatches"),
+        "remote.fallbacks": o.counter("remote.fallbacks"),
+        "remote.worker_points": wo.counter("remote.worker_points"),
+        "remote.worker_sim_busy_s": bl.median(
+            [x.hist_sum_s("sim.wall_ns") for x in wobs]),
+        "remote.worker_sim_lookups_per_exec": (
+            wo.counter("sim.requests") / wo.counter("sim.executed")
+            if wo.counter("sim.executed") else 0.0),
+        # About 1/pool: the worker simulates one point at a time.
+        "remote.worker_busy_frac": bl.median(
+            [s["worker_cpu"] / (s["wall"] * pool) for s in reps]),
+    }
+
+
 # ---------------------------------------------------------------- serve
 
 def serve_model(run, env):
-    """Train (once per source tree) the model the serve workload uses;
-    returns its path and stored error estimate."""
+    """Train (once per source tree) the model the serve sessions use;
+    returns its path."""
     path = work(f"serve-{run.digest}.model")
-    estimate = run.cached("serve-model-estimate")
-    if estimate is not None and os.path.exists(path):
-        return path, estimate
+    if run.cached("serve-model") and os.path.exists(path):
+        return path
     w = dict(study=SERVE["study"], app=SERVE["app"], flags=[],
              batch=SERVE["train_sims"], max_sims=SERVE["train_sims"])
     child = Child(explore_argv(w, False, None) + [f"--save-model={path}"],
                   env)
     code = child.wait()
-    estimate, problem = bl.check_study_stdout(child.stdout(), w["batch"],
-                                              w["max_sims"])
+    _, problem = bl.check_study_stdout(child.stdout(), w["batch"],
+                                       w["max_sims"])
     if code != 0 or problem:
         raise BenchError(f"training the serve model failed: {problem}")
-    return path, run.cached("serve-model-estimate", estimate)
+    run.cached("serve-model", path)
+    return path
 
 
-def serve_session(run, model, env, traced, duration):
-    """A fresh dse_serve under closed-loop load for @p duration seconds
-    (0: launch to ready, then shut down)."""
+def serve_session(run, model, env, traced):
+    """A fresh dse_serve under closed-loop load for one session."""
     metrics_path = work("serve.metrics.json")
     report = work("loadgen.json")
     for path in (metrics_path, report):
@@ -611,20 +645,16 @@ def serve_session(run, model, env, traced, duration):
     if traced:
         argv.append(f"--metrics={metrics_path}")
     port_file = work("serve.port")
-    server, setup, _ = start_daemon(argv, port_file, env)
-    run.setup.append(setup)
-    load = None
+    server, _ = start_daemon(argv, port_file, env)
     try:
-        if duration:
-            load = Child([tool("dse_loadgen"), f"--port-file={port_file}",
-                          f"--connections={SERVE['connections']}",
-                          "--points=1", f"--duration={duration}",
-                          "--requests=0", f"--json={report}"], env)
-            load_code = load.wait(duration + CHILD_TIMEOUT_S)
+        duration = SERVE["session_s"]
+        load = Child([tool("dse_loadgen"), f"--port-file={port_file}",
+                      f"--connections={SERVE['connections']}",
+                      "--points=1", f"--duration={duration}",
+                      "--requests=0", f"--json={report}"], env)
+        load_code = load.wait(duration + CHILD_TIMEOUT_S)
     finally:
         stop_daemon(run, server, "dse_serve")
-    if load is None:
-        return None
     if load_code != 0:
         raise BenchError(f"dse_loadgen exited {load_code}")
     with open(report) as f:
@@ -636,56 +666,29 @@ def serve_session(run, model, env, traced, duration):
         run.failed += bad
         run.problems.append(f"loadgen outcomes: {lg}")
         log(f"CHECK FAILED: loadgen reported failures: {lg}")
-    sample = {
-        "lg": lg, "wall": load.wall, "traced": traced,
-        "cpu": server.cpu + load.cpu,
-        "server_cpu": server.cpu,
-        "rss_mb": server.rss_mb + load.rss_mb,
-    }
-    run.samples.append((traced, lg["latency_p50_ns"] / 1e9, sample["cpu"]))
+    sample = {"lg": lg, "traced": traced}
+    run.samples.append(("serve", traced, load.wall, server.cpu + load.cpu))
     if traced:
         with open(metrics_path) as f:
             sample["obs"] = bl.parse_obs_json(f.read())
     return sample
 
 
-def run_serve(run, seconds, trace, env):
-    model, estimate = serve_model(run, env)
-    for _ in range(SETUP_LAUNCHES):
-        serve_session(run, model, env, False, 0)
-    duration = SERVE["session_s"]
-    if trace:
-        samples = repeat(seconds, lambda i: serve_session(
-            run, model, env, i % 2 == 1, duration), 2 * 2)
-    else:
-        samples = repeat(seconds, lambda i: serve_session(
-            run, model, env, False, duration), MIN_REPS)
+def serve_layer(run, model, env, seconds):
+    samples = repeat(EXTRA_SHARE * seconds,
+                     lambda i: serve_session(run, model, env, i % 2 == 1),
+                     2 * 2)
     plain = [s for s in samples if not s["traced"]]
-    p50_ns = bl.median([s["lg"]["latency_p50_ns"] for s in plain])
-    metrics = {
-        "op_wall_ms": p50_ns / 1e6,
-        "op_cpu_ms": 1e3 * bl.median(
-            [s["cpu"] / s["lg"]["iterations"] for s in plain]),
-        "est_error_pct": estimate,
-        "peak_rss_mb": bl.median([s["rss_mb"] for s in plain]),
-        "setup_s": bl.median(run.setup),
-    }
-    # Closed-loop throughput and the tail follow the mean latency, which
-    # host preemption stalls dominate here: reported, not gated.
-    layer = {
-        "serve.rps": bl.median(
-            [s["lg"]["requests_per_second"] for s in plain]),
-        "serve.p99_us": bl.median(
-            [s["lg"]["latency_p99_ns"] for s in plain]) / 1e3,
-    }
-    if not trace:
-        return metrics, layer
-
-    traced = [s for s in samples if s["traced"]]
+    traced = traced_reps(samples)
     obs = [s["obs"] for s in traced]
-    o = obs[0]
-    workers = SERVE["workers"]
-    layer.update({
+
+    def lg_median(key, scale=1.0):
+        return bl.median([s["lg"][key] for s in plain]) * scale
+
+    return {
+        "serve.p50_us": lg_median("latency_p50_ns", 1e-3),
+        "serve.p99_us": lg_median("latency_p99_ns", 1e-3),
+        "serve.rps": lg_median("requests_per_second"),
         "serve.batch_points_mean": bl.median(
             [x.hist_mean("serve.batch_points") for x in obs]),
         # Point predictions are served by the coalescing batch path;
@@ -699,14 +702,7 @@ def run_serve(run, seconds, trace, env):
         "loadgen.timeouts": sum(s["lg"]["timeouts"] for s in samples),
         "loadgen.disconnects": sum(s["lg"]["disconnects"] for s in samples),
         "loadgen.errors": sum(s["lg"]["errors"] for s in samples),
-        "util.pool_threads": o.gauge("pool.threads"),
-        "util.pool_busy_frac": bl.median(
-            [s["server_cpu"] / (s["wall"] * workers) for s in traced]),
-        "trace_overhead_frac": bl.median(
-            [s["lg"]["latency_p50_ns"] for s in traced]) / p50_ns - 1.0,
-    })
-    layer.update(probe(run, SERVE["study"], SERVE["app"], model))
-    return metrics, layer
+    }
 
 
 # ---------------------------------------------------------------- probe
@@ -734,11 +730,7 @@ def run_workload(root, name, seed, seconds, trace):
     open(work("children.log"), "wb").close()
     host = fingerprint(root)
     run = Run(host["source_digest"], seed)
-    env = child_env()
-    if name == "serve-point":
-        metrics, layer = run_serve(run, seconds, trace, env)
-    else:
-        metrics, layer = run_study(run, name, seconds, trace, env)
+    metrics, layer = run_study(run, name, seconds, trace, child_env())
     names, values = (PER_LAYER, layer) if trace else (END_TO_END, metrics)
     out = {n: {"value": float(values.get(n, 0.0)), "unit": u}
            for n, u in names}
@@ -757,16 +749,11 @@ def run_workload(root, name, seed, seconds, trace):
     }
 
 
-# Familiar names of the end-to-end metrics, per workload kind.
-STUDY_NAMES = (
+# Familiar names of the end-to-end metrics.
+NAMED = (
     ("study_wall_s", "s", lambda m: m["op_wall_ms"] / 1e3),
     ("study_cpu_s", "s", lambda m: m["op_cpu_ms"] / 1e3),
     ("est_error_pct", "%", lambda m: m["est_error_pct"]),
-)
-SERVE_NAMES = (
-    ("serve_p50_us", "us", lambda m: m["op_wall_ms"] * 1e3),
-)
-COMMON_NAMES = (
     ("setup_s", "s", lambda m: m["setup_s"]),
     ("peak_rss_mb", "MB", lambda m: m["peak_rss_mb"]),
 )
@@ -775,16 +762,9 @@ COMMON_NAMES = (
 def describe(record):
     """Human-readable lines: host, named metrics with units, checks."""
     lines = [f"host: {json.dumps(record['host'], sort_keys=True)}"]
-    m = record["end_to_end"]
-    named = (SERVE_NAMES if record["workload"] == "serve-point"
-             else STUDY_NAMES) + COMMON_NAMES
-    for label, unit, get in named:
-        lines.append(f"  {label:<34} {get(m):>14.6g} {unit}")
-    if record["workload"] == "serve-point":
-        layer = record["per_layer"]
-        lines.append(f"  {'serve_rps':<34} {layer['serve.rps']:>14.6g} 1/s")
-        lines.append(f"  {'serve_p99_us':<34} "
-                     f"{layer['serve.p99_us']:>14.6g} us")
+    for label, unit, get in NAMED:
+        lines.append(f"  {label:<34} {get(record['end_to_end']):>14.6g} "
+                     f"{unit}")
     frac = record["failed"] / max(record["attempted"], 1)
     lines.append(f"  {'failed_frac':<34} {frac:>14.6g} "
                  f"({record['failed']}/{record['attempted']})")
@@ -831,7 +811,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--seconds", type=int, default=55)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--report", action="store_true",
                         help="run every workload, untraced and traced")
