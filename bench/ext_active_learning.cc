@@ -38,7 +38,8 @@ compareStrategies(const std::string &app, size_t trace_length,
 
         ml::Explorer explorer(
             ctx.space(),
-            [&](uint64_t i) { return ctx.simulateIpc(i); }, opts);
+            [&](const auto &batch) { return ctx.simulateBatch(batch); },
+            opts);
         const auto history = explorer.run();
 
         const auto eval = study::holdoutIndices(

@@ -122,7 +122,7 @@ BM_EnsemblePredictSpace(benchmark::State &state)
         opts.train.maxEpochs = 60;
         opts.train.esInterval = 20;
         opts.train.patience = 3;
-        auto *e = new ml::Explorer(space, sim, opts);
+        auto *e = new ml::Explorer(space, ml::pointwise(sim), opts);
         e->step();
         return e;
     }();

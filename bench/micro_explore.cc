@@ -8,7 +8,7 @@
  * member predictions); BM_MemberSpreadBatched is the panelized
  * Ensemble::memberSpreadIndices kernel, bit-identical per point.
  * BM_PickBatch times one end-to-end selection round (pool draw,
- * scoring, deterministic top-k) via the prefetch hook.
+ * scoring, deterministic top-k), stamped by the batch simulator call.
  */
 
 #include <benchmark/benchmark.h>
@@ -113,8 +113,8 @@ BM_PickBatch(benchmark::State &state)
     // One end-to-end active-learning selection round at the given
     // candidate-pool size: pool draw, committee scoring, and the
     // deterministic top-k. Manual timing brackets exactly the
-    // pickBatch span (step() entry to the prefetch callback, which
-    // fires with the chosen batch before any simulation); the
+    // pickBatch span (step() entry to the batch simulator call, which
+    // receives the chosen batch before any simulation); the
     // simulate/retrain tail of step() runs untimed.
     const auto &space = benchSpace();
     const auto &model = benchEnsemble();
@@ -130,13 +130,15 @@ BM_PickBatch(benchmark::State &state)
         opts.train.patience = 2;
         double elapsed = 0.0;
         std::chrono::steady_clock::time_point start;
-        opts.prefetch = [&](const std::vector<uint64_t> &) {
-            elapsed = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-        };
+        const auto respond = ml::pointwise(analyticResponse);
         ml::Explorer ex(
-            space, [](uint64_t idx) { return analyticResponse(idx); },
+            space,
+            [&](const std::vector<uint64_t> &batch) {
+                elapsed = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+                return respond(batch);
+            },
             opts);
         ex.seedEnsemble(model);
         start = std::chrono::steady_clock::now();

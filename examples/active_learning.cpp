@@ -29,7 +29,8 @@ runStrategy(study::StudyKind kind, const char *app, bool active)
     opts.train.maxEpochs = 4000;
 
     ml::Explorer explorer(
-        ctx.space(), [&](uint64_t i) { return ctx.simulateIpc(i); },
+        ctx.space(),
+        [&](const auto &batch) { return ctx.simulateBatch(batch); },
         opts);
 
     std::printf("\n%s sampling:\n",

@@ -33,7 +33,9 @@ main()
     opts.train.maxEpochs = 4000;
 
     ml::Explorer explorer(
-        space, [&](uint64_t i) { return ctx.simulateIpc(i); }, opts);
+        space,
+        [&](const auto &batch) { return ctx.simulateBatch(batch); },
+        opts);
     for (const auto &step : explorer.run()) {
         std::printf("  %3zu sims -> estimated error %.2f%%\n",
                     step.totalSamples, step.estimate.meanPct);

@@ -4,9 +4,10 @@
  *
  * 1. Describe a design space (here: a small slice of the paper's
  *    memory-system space).
- * 2. Provide a "simulator" — any function from design-point index to
- *    a metric. Here it is the bundled cycle-level simulator running
- *    the synthetic gzip workload.
+ * 2. Provide a "simulator" — any function from a batch of
+ *    design-point indices to one metric value each. Here it is the
+ *    bundled cycle-level simulator running the synthetic gzip
+ *    workload, one batch point per thread-pool task.
  * 3. Let the Explorer sample, simulate, and train until its
  *    cross-validation error estimate is low enough.
  * 4. Predict any point in the space without simulating it.
@@ -17,6 +18,7 @@
 #include "ml/explorer.hh"
 #include "sim/cacti.hh"
 #include "sim/core.hh"
+#include "util/thread_pool.hh"
 #include "workload/generator.hh"
 
 using namespace dse;
@@ -45,6 +47,10 @@ main()
         opts.warmCaches = true;
         return sim::simulate(trace, cfg, opts).ipc;
     };
+    auto simulate_batch = [&](const std::vector<uint64_t> &batch) {
+        return util::ThreadPool::global().parallelMap<double>(
+            batch.size(), [&](size_t i) { return simulate_point(batch[i]); });
+    };
 
     // 3. Explore: batches of 8 simulations until the estimated mean
     // percentage error drops below 3%.
@@ -54,7 +60,7 @@ main()
     opts.train.folds = 5;
     opts.train.maxEpochs = 3000;
 
-    ml::Explorer explorer(space, simulate_point, opts);
+    ml::Explorer explorer(space, simulate_batch, opts);
     for (const auto &step : explorer.run()) {
         std::printf("after %3zu simulations: estimated error "
                     "%.2f%% +- %.2f%%\n",

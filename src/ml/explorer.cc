@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/metrics.hh"
 #include "util/thread_pool.hh"
@@ -17,7 +18,8 @@ struct ExploreMetrics
 {
     obs::CounterId rounds, pointsSimulated, pointsPredicted,
         pointsScored, scoreChunks;
-    obs::HistogramId encodeWallNs, predictWallNs, scoreWallNs;
+    obs::HistogramId pickWallNs, simulateWallNs, trainWallNs,
+        encodeWallNs, predictWallNs, scoreWallNs;
 
     static const ExploreMetrics &
     get()
@@ -30,6 +32,9 @@ struct ExploreMetrics
             e.pointsPredicted = r.counter("explore.points_predicted");
             e.pointsScored = r.counter("explore.points_scored");
             e.scoreChunks = r.counter("explore.score_chunks");
+            e.pickWallNs = r.histogram("explore.pick_wall_ns");
+            e.simulateWallNs = r.histogram("explore.simulate_wall_ns");
+            e.trainWallNs = r.histogram("explore.train_wall_ns");
             e.encodeWallNs = r.histogram("explore.encode_wall_ns");
             e.predictWallNs = r.histogram("explore.predict_wall_ns");
             e.scoreWallNs = r.histogram("explore.score_wall_ns");
@@ -41,7 +46,19 @@ struct ExploreMetrics
 
 } // namespace
 
-Explorer::Explorer(const DesignSpace &space, SimulatorFn simulator,
+BatchSimulatorFn
+pointwise(std::function<double(uint64_t)> fn)
+{
+    return [fn = std::move(fn)](const std::vector<uint64_t> &indices) {
+        std::vector<double> out;
+        out.reserve(indices.size());
+        for (uint64_t idx : indices)
+            out.push_back(fn(idx));
+        return out;
+    };
+}
+
+Explorer::Explorer(const DesignSpace &space, BatchSimulatorFn simulator,
                    ExplorerOptions opts)
     : space_(space), simulator_(std::move(simulator)),
       opts_(std::move(opts)), rng_(opts_.seed)
@@ -148,26 +165,44 @@ Explorer::step()
     if (want == 0)
         return std::nullopt;
 
-    const auto batch = pickBatch(want);
+    const auto &em = ExploreMetrics::get();
+    std::vector<uint64_t> batch;
+    {
+        obs::TraceScope span("pick", em.pickWallNs);
+        batch = pickBatch(want);
+    }
     if (batch.empty())
         return std::nullopt;
 
-    // Let a dispatcher (or any batch-aware simulator) start on the
-    // whole batch before the sequential per-index accumulation below.
-    if (opts_.prefetch)
-        opts_.prefetch(batch);
+    // One simulator call per round: the simulator runs the whole batch
+    // (on the pool, or across remote workers). On failure the picked
+    // points return to the unseen pool and nothing was recorded yet,
+    // so indices_ and data_ stay in step.
+    std::vector<double> targets;
+    {
+        obs::TraceScope span("simulate", em.simulateWallNs);
+        try {
+            targets = simulator_(batch);
+            if (targets.size() != batch.size()) {
+                throw std::runtime_error(
+                    "batch simulator returned " +
+                    std::to_string(targets.size()) + " values for " +
+                    std::to_string(batch.size()) + " points");
+            }
+        } catch (...) {
+            for (uint64_t idx : batch)
+                seen_[idx] = false;
+            throw;
+        }
+    }
 
-    const auto &em = ExploreMetrics::get();
     auto &registry = obs::MetricsRegistry::global();
     registry.add(em.rounds);
     registry.add(em.pointsSimulated, batch.size());
 
-    // Encode the whole batch first (a span of pure feature encoding),
-    // then simulate and accumulate. The simulator memoizes by index
-    // and the encoding is a pure function of the index, so splitting
-    // the loop changes no result. One contiguous
-    // [batch x encodedWidth] buffer filled by encodeIndexInto — no
-    // per-point heap allocation in the encode span.
+    // One contiguous [batch x encodedWidth] buffer filled by
+    // encodeIndexInto — no per-point heap allocation in the encode
+    // span.
     const size_t width = static_cast<size_t>(space_.encodedWidth());
     std::vector<double> features(batch.size() * width);
     {
@@ -178,15 +213,17 @@ Explorer::step()
     for (size_t i = 0; i < batch.size(); ++i) {
         indices_.push_back(batch[i]);
         const double *row = features.data() + i * width;
-        data_.add(std::vector<double>(row, row + width),
-                  simulator_(batch[i]));
+        data_.add(std::vector<double>(row, row + width), targets[i]);
     }
 
     TrainOptions train = opts_.train;
     // Vary the training seed with the data so successive rounds do
     // not reuse identical fold assignments on a prefix of the data.
     train.seed = opts_.train.seed + indices_.size();
-    ensemble_ = std::make_unique<Ensemble>(trainEnsemble(data_, train));
+    {
+        obs::TraceScope span("train", em.trainWallNs);
+        ensemble_ = std::make_unique<Ensemble>(trainEnsemble(data_, train));
+    }
 
     ExplorationStep out;
     out.totalSamples = indices_.size();

@@ -8,10 +8,14 @@
  *  4. read the ensemble's error estimate,
  *  5. stop if the estimate is low enough, otherwise go to 1.
  *
- * The simulator is abstracted as a function from design-point index to
- * target value, so the explorer is reusable for any metric, any
- * simulator, and any partial-simulation scheme (e.g. SimPoint
- * estimates simply make the function noisy).
+ * The simulator is abstracted as a batch function from design-point
+ * indices to target values, called once per round with the whole
+ * batch, so the explorer is reusable for any metric, any simulator,
+ * and any partial-simulation scheme (e.g. SimPoint estimates simply
+ * make the function noisy), and the simulator decides how to run a
+ * round: StudyContext::simulateBatch / simulateSimPointBatch on the
+ * thread pool, RemoteDispatcher::simulateBatch across workers, or
+ * ml::pointwise over a scalar function.
  */
 
 #ifndef DSE_ML_EXPLORER_HH
@@ -29,8 +33,19 @@
 namespace dse {
 namespace ml {
 
-/** Maps a design-point index to a simulated target value (e.g. IPC). */
-using SimulatorFn = std::function<double(uint64_t)>;
+/**
+ * Maps a round's design-point indices to their simulated target
+ * values (e.g. IPC): one value per index, in input order.
+ */
+using BatchSimulatorFn =
+    std::function<std::vector<double>(const std::vector<uint64_t> &)>;
+
+/**
+ * Adapt a scalar index -> value function (e.g. an analytic test
+ * simulator) to a BatchSimulatorFn that evaluates it serially in
+ * input order.
+ */
+BatchSimulatorFn pointwise(std::function<double(uint64_t)> fn);
 
 /** Explorer configuration. */
 struct ExplorerOptions
@@ -53,15 +68,6 @@ struct ExplorerOptions
     bool activeLearning = false;
     /** Candidate pool size per batch when active learning is on. */
     size_t candidatePool = 500;
-    /**
-     * Optional batch prefetch hook, called with each round's chosen
-     * indices before the per-index simulator loop. A remote
-     * dispatcher uses it to fan the batch out across workers and
-     * pre-warm the study memo cache; the per-index calls then hit
-     * memoized results. Purely an acceleration hint — results are
-     * identical with or without it.
-     */
-    std::function<void(const std::vector<uint64_t> &)> prefetch;
 };
 
 /** One refinement round's outcome. */
@@ -78,11 +84,15 @@ struct ExplorationStep
 class Explorer
 {
   public:
-    Explorer(const DesignSpace &space, SimulatorFn simulator,
+    Explorer(const DesignSpace &space, BatchSimulatorFn simulator,
              ExplorerOptions opts);
 
     /**
-     * Add one batch: pick unseen points, simulate, retrain.
+     * Add one batch: pick unseen points, simulate them with one
+     * simulator call, retrain. If the simulator throws (or returns
+     * the wrong number of values) the picked points go back to the
+     * unseen pool and the sampled data is left unchanged, so a later
+     * step() can retry.
      * @return the new error estimate, or nullopt when the space is
      *         exhausted
      */
@@ -140,7 +150,7 @@ class Explorer
     std::vector<uint64_t> pickBatch(size_t n);
 
     const DesignSpace &space_;
-    SimulatorFn simulator_;
+    BatchSimulatorFn simulator_;
     ExplorerOptions opts_;
     Rng rng_;
     DataSet data_;

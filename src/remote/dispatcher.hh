@@ -125,15 +125,17 @@ class RemoteDispatcher
      * Pre-warm the context's memo cache for a batch: fan the missing
      * indices out across live workers, merge what comes back, leave
      * the rest. Never throws on worker failure; with no endpoints it
-     * returns immediately. Matches ml::ExplorerOptions::prefetch.
+     * returns immediately.
      */
     void prefetch(const std::vector<uint64_t> &indices);
 
     /**
      * prefetch() + the context's own batch call: every index resolves
      * (remote where possible, locally otherwise), in input order.
-     * Bit-identical to StudyContext::simulateBatch at any topology,
-     * including every worker dead.
+     * Bit-identical to StudyContext::simulateBatch (or
+     * simulateSimPointBatch when DispatcherOptions::simpoint) at any
+     * topology, including every worker dead. This is the
+     * ml::BatchSimulatorFn a remote exploration runs on.
      */
     std::vector<double>
     simulateBatch(const std::vector<uint64_t> &indices);

@@ -122,16 +122,10 @@ SimWorker::handle(const serve::SimulateBatchRequest &req,
             }
         }
         reply.simpoint = req.simpoint;
-        if (req.simpoint) {
+        if (req.simpoint)
             reply.ipc = ctx->simulateSimPointBatch(req.indices);
-        } else {
-            reply.results.reserve(req.indices.size());
-            // Warm the memo cache in parallel, then gather in request
-            // order (simulateFull returns memoized references).
-            ctx->simulateBatch(req.indices);
-            for (uint64_t idx : req.indices)
-                reply.results.push_back(ctx->simulateFull(idx));
-        }
+        else
+            reply.results = ctx->simulateFullBatch(req.indices);
     } catch (const std::exception &e) {
         error = std::string("simulation failed: ") + e.what();
         return serve::SimulateVerdict::BadRequest;

@@ -1043,7 +1043,8 @@ Server::handleLoadModel(const Request &req)
             eopts.train.maxEpochs = static_cast<int>(load.maxEpochs);
             ml::Explorer explorer(
                 ctx.space(),
-                [&](uint64_t i) { return ctx.simulateIpc(i); }, eopts);
+                [&](const auto &batch) { return ctx.simulateBatch(batch); },
+                eopts);
             explorer.step();
             state.ensemble = std::make_shared<const ml::Ensemble>(
                 explorer.ensemble());

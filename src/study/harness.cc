@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "util/env.hh"
@@ -72,6 +73,41 @@ resolveJournalPath(const std::string &explicit_path, StudyKind kind,
     expand("{study}", studyName(kind));
     expand("{app}", app);
     return path;
+}
+
+/**
+ * The batch-simulation fan-out shared by every StudyContext batch
+ * entry point: each distinct index of @p indices is resolved exactly
+ * once — one counted memo lookup, or one execution — concurrently on
+ * the global ThreadPool, and its value is copied to every position it
+ * occupies, in input order. Duplicates cost nothing extra.
+ */
+template <typename T, typename Resolve>
+std::vector<T>
+resolveDistinct(const std::vector<uint64_t> &indices,
+                const Resolve &resolve)
+{
+    std::unordered_map<uint64_t, size_t> slotOf;
+    std::vector<uint64_t> distinct;
+    std::vector<size_t> slots;
+    slots.reserve(indices.size());
+    for (uint64_t idx : indices) {
+        const auto [it, fresh] = slotOf.emplace(idx, distinct.size());
+        if (fresh)
+            distinct.push_back(idx);
+        slots.push_back(it->second);
+    }
+
+    std::vector<T> values(distinct.size());
+    util::ThreadPool::global().parallelFor(
+        0, distinct.size(),
+        [&](size_t i) { values[i] = resolve(distinct[i]); });
+
+    std::vector<T> out;
+    out.reserve(indices.size());
+    for (size_t slot : slots)
+        out.push_back(values[slot]);
+    return out;
 }
 
 } // namespace
@@ -158,31 +194,18 @@ StudyContext::simulationsRun() const
     return n;
 }
 
+std::vector<sim::SimResult>
+StudyContext::simulateFullBatch(const std::vector<uint64_t> &indices)
+{
+    return resolveDistinct<sim::SimResult>(
+        indices, [this](uint64_t idx) { return simulateFull(idx); });
+}
+
 std::vector<double>
 StudyContext::simulateBatch(const std::vector<uint64_t> &indices)
 {
-    // Deduplicate and drop cache hits so pool workers only run
-    // distinct missing simulations.
-    std::vector<uint64_t> todo;
-    {
-        std::unordered_set<uint64_t> seen;
-        for (uint64_t idx : indices) {
-            if (!seen.insert(idx).second)
-                continue;
-            auto &shard = shardFor(cache_, idx);
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (!shard.map.count(idx))
-                todo.push_back(idx);
-        }
-    }
-    util::ThreadPool::global().parallelFor(
-        0, todo.size(), [&](size_t i) { simulateFull(todo[i]); });
-
-    std::vector<double> out;
-    out.reserve(indices.size());
-    for (uint64_t idx : indices)
-        out.push_back(simulateFull(idx).ipc);
-    return out;
+    return resolveDistinct<double>(
+        indices, [this](uint64_t idx) { return simulateFull(idx).ipc; });
 }
 
 std::vector<double>
@@ -192,28 +215,9 @@ StudyContext::simulateSimPointBatch(const std::vector<uint64_t> &indices)
     // parallel region only reads them.
     simPoints();
     simPointScale();
-
-    std::vector<uint64_t> todo;
-    {
-        std::unordered_set<uint64_t> seen;
-        for (uint64_t idx : indices) {
-            if (!seen.insert(idx).second)
-                continue;
-            auto &shard = shardFor(simPointCache_, idx);
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (!shard.map.count(idx))
-                todo.push_back(idx);
-        }
-    }
-    util::ThreadPool::global().parallelFor(
-        0, todo.size(),
-        [&](size_t i) { simulateSimPointIpc(todo[i]); });
-
-    std::vector<double> out;
-    out.reserve(indices.size());
-    for (uint64_t idx : indices)
-        out.push_back(simulateSimPointIpc(idx));
-    return out;
+    return resolveDistinct<double>(indices, [this](uint64_t idx) {
+        return simulateSimPointIpc(idx);
+    });
 }
 
 sim::MachineConfig

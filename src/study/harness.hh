@@ -81,10 +81,15 @@ class StudyContext
 
     /**
      * Simulate a batch of design points concurrently on the global
-     * ThreadPool (duplicates and cache hits cost nothing extra).
+     * ThreadPool. Each distinct index costs one simulateFull call (a
+     * memo hit or one execution); duplicates cost nothing extra.
      * @return the IPC of each input index, in input order
      */
     std::vector<double> simulateBatch(const std::vector<uint64_t> &indices);
+
+    /** simulateBatch returning each point's full detailed result. */
+    std::vector<sim::SimResult>
+    simulateFullBatch(const std::vector<uint64_t> &indices);
 
     /** SimPoint-estimate analogue of simulateBatch (Section 5.3). */
     std::vector<double>

@@ -203,10 +203,9 @@ TEST(ParallelScoring, PickBatchSelectionIdenticalAcrossThreadCounts)
     std::vector<std::vector<uint64_t>> sampled;
     for (size_t threads : kThreadCounts) {
         PoolGuard guard(threads);
-        ml::Explorer ex(space,
-                        [&](uint64_t i) {
+        ml::Explorer ex(space, ml::pointwise([&](uint64_t i) {
                             return scoringResponse(space, i);
-                        },
+                        }),
                         opts);
         // Three rounds: round one is random, rounds two and three go
         // through committee scoring and top-k selection.
@@ -236,10 +235,9 @@ TEST(ExplorerScoring, ConstantEnsembleTieBreakSelectsSmallestIndices)
     opts.train.maxEpochs = 20;
     opts.train.esInterval = 10;
     opts.train.patience = 2;
-    ml::Explorer ex(space,
-                    [](uint64_t i) {
+    ml::Explorer ex(space, ml::pointwise([](uint64_t i) {
                         return 1.0 + 0.1 * static_cast<double>(i % 5);
-                    },
+                    }),
                     opts);
     ex.seedEnsemble(constantSpreadEnsemble(space));
     ASSERT_TRUE(ex.step().has_value());
@@ -265,10 +263,9 @@ TEST(ExplorerScoring, SeededEnsembleScoresTheFirstBatch)
     opts.train.esInterval = 10;
     opts.train.patience = 2;
     auto first_batch = [&] {
-        ml::Explorer ex(space,
-                        [&](uint64_t i) {
+        ml::Explorer ex(space, ml::pointwise([&](uint64_t i) {
                             return scoringResponse(space, i);
-                        },
+                        }),
                         opts);
         ex.seedEnsemble(model);
         ex.step();
@@ -288,8 +285,9 @@ TEST(ExplorerScoring, PredictRangeMatchesPredictIndices)
     opts.train.maxEpochs = 120;
     opts.train.esInterval = 25;
     opts.train.patience = 4;
-    ml::Explorer ex(space,
-                    [&](uint64_t i) { return scoringResponse(space, i); },
+    ml::Explorer ex(space, ml::pointwise([&](uint64_t i) {
+                        return scoringResponse(space, i);
+                    }),
                     opts);
     ASSERT_TRUE(ex.step().has_value());
 

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "ml/explorer.hh"
 
@@ -37,6 +38,13 @@ toyResponse(const DesignSpace &space, uint64_t idx)
         0.35 * x[0] * x[1] * (1.0 - x[2]);
 }
 
+BatchSimulatorFn
+toySimulator(const DesignSpace &space)
+{
+    return pointwise(
+        [&space](uint64_t i) { return toyResponse(space, i); });
+}
+
 ExplorerOptions
 fastOptions()
 {
@@ -54,7 +62,7 @@ TEST(Explorer, StepAddsExactlyOneBatch)
 {
     const auto space = toySpace();
     Explorer ex(space,
-                [&](uint64_t i) { return toyResponse(space, i); },
+                toySimulator(space),
                 fastOptions());
     auto step = ex.step();
     ASSERT_TRUE(step.has_value());
@@ -69,7 +77,7 @@ TEST(Explorer, NeverSamplesSamePointTwice)
 {
     const auto space = toySpace();
     Explorer ex(space,
-                [&](uint64_t i) { return toyResponse(space, i); },
+                toySimulator(space),
                 fastOptions());
     for (int i = 0; i < 5; ++i)
         ex.step();
@@ -84,7 +92,7 @@ TEST(Explorer, RunStopsAtTargetError)
     auto opts = fastOptions();
     opts.targetMeanPct = 6.0;
     Explorer ex(space,
-                [&](uint64_t i) { return toyResponse(space, i); },
+                toySimulator(space),
                 opts);
     const auto history = ex.run();
     ASSERT_FALSE(history.empty());
@@ -98,7 +106,7 @@ TEST(Explorer, RunHonoursSimulationCap)
     opts.targetMeanPct = 0.0;  // unreachable
     opts.maxSimulations = 120;
     Explorer ex(space,
-                [&](uint64_t i) { return toyResponse(space, i); },
+                toySimulator(space),
                 opts);
     ex.run();
     EXPECT_EQ(ex.sampledIndices().size(), 120u);
@@ -114,7 +122,7 @@ TEST(Explorer, ExhaustsSpaceGracefully)
     opts.targetMeanPct = 0.0;
     opts.train.folds = 5;
     Explorer ex(small,
-                [&](uint64_t i) { return 1.0 + 0.1 * (i % 7); },
+                pointwise([](uint64_t i) { return 1.0 + 0.1 * (i % 7); }),
                 opts);
     auto first = ex.step();
     ASSERT_TRUE(first.has_value());
@@ -131,7 +139,7 @@ TEST(Explorer, TrueErrorImprovesWithMoreRounds)
     opts.targetMeanPct = 0.0;
     opts.maxSimulations = 200;
     Explorer ex(space,
-                [&](uint64_t i) { return toyResponse(space, i); },
+                toySimulator(space),
                 opts);
 
     auto true_error = [&] {
@@ -159,7 +167,7 @@ TEST(Explorer, PredictsUnsampledPointsAccurately)
     opts.maxSimulations = 200;
     opts.targetMeanPct = 3.0;
     Explorer ex(space,
-                [&](uint64_t i) { return toyResponse(space, i); },
+                toySimulator(space),
                 opts);
     ex.run();
     std::set<uint64_t> sampled(ex.sampledIndices().begin(),
@@ -176,10 +184,54 @@ TEST(Explorer, PredictsUnsampledPointsAccurately)
     EXPECT_LT(100.0 * err / n, 8.0);
 }
 
+TEST(Explorer, SimulatorFailureReturnsBatchToThePool)
+{
+    DesignSpace small;
+    small.addCardinal("a", {1, 2, 3, 4, 5, 6});
+    small.addCardinal("b", {1, 2, 3, 4, 5, 6});  // 36 points
+    auto opts = fastOptions();
+    opts.batchSize = 36;
+    opts.targetMeanPct = 0.0;
+    opts.train.folds = 5;
+    const auto respond =
+        pointwise([](uint64_t i) { return 1.0 + 0.1 * (i % 7); });
+    int calls = 0;
+    Explorer ex(small,
+                [&](const std::vector<uint64_t> &batch) {
+                    ++calls;
+                    if (calls == 1)
+                        throw std::runtime_error("simulator down");
+                    auto out = respond(batch);
+                    if (calls == 2)
+                        out.pop_back();  // one value short
+                    return out;
+                },
+                opts);
+    // A throwing simulator and a short reply both leave the sampled
+    // data untouched.
+    for (int failure = 0; failure < 2; ++failure) {
+        EXPECT_THROW(ex.step(), std::runtime_error);
+        EXPECT_TRUE(ex.sampledIndices().empty());
+        EXPECT_EQ(ex.data().size(), 0u);
+        EXPECT_THROW(ex.ensemble(), std::logic_error);
+    }
+    // The failed batches went back to the unseen pool: a whole-space
+    // batch is still available, then the space is exhausted.
+    const auto step = ex.step();
+    ASSERT_TRUE(step.has_value());
+    EXPECT_EQ(step->totalSamples, 36u);
+    EXPECT_EQ(ex.sampledIndices().size(), ex.data().size());
+    const std::set<uint64_t> uniq(ex.sampledIndices().begin(),
+                                  ex.sampledIndices().end());
+    EXPECT_EQ(uniq.size(), 36u);
+    EXPECT_FALSE(ex.step().has_value());
+}
+
 TEST(Explorer, EnsembleUnavailableBeforeFirstStep)
 {
     const auto space = toySpace();
-    Explorer ex(space, [](uint64_t) { return 1.0; }, fastOptions());
+    Explorer ex(space, pointwise([](uint64_t) { return 1.0; }),
+                fastOptions());
     EXPECT_THROW(ex.ensemble(), std::logic_error);
 }
 
@@ -190,8 +242,9 @@ TEST(Explorer, RejectsBadArguments)
                  std::invalid_argument);
     auto opts = fastOptions();
     opts.batchSize = 0;
-    EXPECT_THROW(Explorer(space, [](uint64_t) { return 1.0; }, opts),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        Explorer(space, pointwise([](uint64_t) { return 1.0; }), opts),
+        std::invalid_argument);
 }
 
 TEST(Explorer, ActiveLearningSamplesValidPoints)
@@ -203,7 +256,7 @@ TEST(Explorer, ActiveLearningSamplesValidPoints)
     opts.maxSimulations = 160;
     opts.targetMeanPct = 0.0;
     Explorer ex(space,
-                [&](uint64_t i) { return toyResponse(space, i); },
+                toySimulator(space),
                 opts);
     ex.run();
     const auto &sampled = ex.sampledIndices();
@@ -222,7 +275,7 @@ TEST(Explorer, DeterministicForSeeds)
     opts.targetMeanPct = 0.0;
     auto run_once = [&] {
         Explorer ex(space,
-                    [&](uint64_t i) { return toyResponse(space, i); },
+                    toySimulator(space),
                     opts);
         ex.run();
         return ex.sampledIndices();

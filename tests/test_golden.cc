@@ -94,7 +94,7 @@ TEST(Golden, ActiveLearningPickBatchSelection)
     opts.train.maxEpochs = 150;
     opts.train.esInterval = 25;
     opts.train.patience = 4;
-    ml::Explorer ex(space, simulator, opts);
+    ml::Explorer ex(space, ml::pointwise(simulator), opts);
     ex.step();
     ex.step();
     const auto &sampled = ex.sampledIndices();

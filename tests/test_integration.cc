@@ -89,7 +89,8 @@ TEST(Integration, ExplorerDrivesRealStudy)
     opts.train.maxEpochs = 1500;
 
     ml::Explorer explorer(
-        ctx.space(), [&](uint64_t i) { return ctx.simulateIpc(i); },
+        ctx.space(),
+        [&](const auto &batch) { return ctx.simulateBatch(batch); },
         opts);
     const auto history = explorer.run();
     ASSERT_EQ(history.size(), 4u);

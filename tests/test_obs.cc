@@ -336,13 +336,12 @@ TEST_F(ObsDeterminism, MetricsAndTracingLeaveResultsBitIdentical)
         EXPECT_EQ(snap.counter("sim.memo_hits") +
                       snap.counter("sim.executed"),
                   snap.counter("sim.requests"));
-        // The batch executes each distinct index once, reads every
-        // entry back from the memo, and the golden pin re-reads index
-        // 100 — so each counter is fully determined.
+        // The batch resolves each distinct index once (duplicates fan
+        // out without another lookup) and the golden pin re-reads
+        // index 100 — so each counter is fully determined.
         EXPECT_EQ(snap.counter("sim.executed"), kDistinct);
-        EXPECT_EQ(snap.counter("sim.requests"),
-                  kDistinct + points.size() + 1);
-        EXPECT_EQ(snap.counter("sim.memo_hits"), points.size() + 1);
+        EXPECT_EQ(snap.counter("sim.requests"), kDistinct + 1);
+        EXPECT_EQ(snap.counter("sim.memo_hits"), 1u);
         EXPECT_EQ(snap.counter("journal.appends"), kDistinct);
         EXPECT_EQ(snap.counter("journal.fsyncs"), kDistinct);
         EXPECT_GT(snap.counter("train.epochs"), 0u);
@@ -355,6 +354,37 @@ TEST_F(ObsDeterminism, MetricsAndTracingLeaveResultsBitIdentical)
     EXPECT_GT(obs::TraceCollector::global().eventCount(), 0u);
     EXPECT_TRUE(obs::TraceCollector::global().writeTo(trace_path));
     EXPECT_FALSE(readFile(trace_path).empty());
+}
+
+TEST_F(ObsDeterminism, BatchMakesOneCountedLookupPerPoint)
+{
+    const std::vector<uint64_t> points = {3, 14, 159, 2653, 5897};
+    const uint64_t n = points.size();
+    study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip", 4096);
+    auto &registry = obs::MetricsRegistry::global();
+
+    registry.reset();
+    const auto cold = ctx.simulateBatch(points);
+    auto snap = registry.snapshot();
+    EXPECT_EQ(snap.counter("sim.requests"), n);
+    EXPECT_EQ(snap.counter("sim.executed"), n);
+    EXPECT_EQ(snap.counter("sim.memo_hits"), 0u);
+
+    EXPECT_EQ(ctx.simulateBatch(points), cold);
+    snap = registry.snapshot();
+    EXPECT_EQ(snap.counter("sim.requests"), 2 * n);
+    EXPECT_EQ(snap.counter("sim.executed"), n);
+    EXPECT_EQ(snap.counter("sim.memo_hits"), n);
+
+    // The SimPoint batch shares the fan-out: one counted lookup per
+    // point there too.
+    registry.reset();
+    const auto sp_cold = ctx.simulateSimPointBatch(points);
+    EXPECT_EQ(ctx.simulateSimPointBatch(points), sp_cold);
+    snap = registry.snapshot();
+    EXPECT_EQ(snap.counter("sim.simpoint_requests"), 2 * n);
+    EXPECT_EQ(snap.counter("sim.simpoint_estimates"), n);
+    EXPECT_EQ(snap.counter("sim.simpoint_memo_hits"), n);
 }
 
 TEST_F(ObsDeterminism, JournalReplayCountsSurviveRestart)
@@ -467,7 +497,8 @@ TEST_F(ObsNames, EveryRegisteredNameIsValidAndUnique)
         eopts.train.maxEpochs = 50;
         ml::Explorer explorer(
             ctx.space(),
-            [](uint64_t i) { return 0.5 + 1e-6 * double(i); }, eopts);
+            ml::pointwise([](uint64_t i) { return 0.5 + 1e-6 * double(i); }),
+            eopts);
         explorer.run();
         explorer.predictIndices({0, 1, 2});
     }
@@ -495,6 +526,9 @@ TEST_F(ObsNames, EveryRegisteredNameIsValidAndUnique)
     EXPECT_TRUE(seen.count("sim.executed"));
     EXPECT_TRUE(seen.count("train.epochs"));
     EXPECT_TRUE(seen.count("explore.rounds"));
+    EXPECT_TRUE(seen.count("explore.pick_wall_ns"));
+    EXPECT_TRUE(seen.count("explore.simulate_wall_ns"));
+    EXPECT_TRUE(seen.count("explore.train_wall_ns"));
     EXPECT_TRUE(seen.count("journal.appends"));
     EXPECT_TRUE(seen.count("faults.injected.sim"));
     EXPECT_TRUE(seen.count("pool.threads"));

@@ -275,7 +275,7 @@ TEST(ParallelDeterminism, ExplorerPredictionsBitIdenticalAcrossThreadCounts)
     std::vector<std::vector<double>> predictions;
     for (size_t threads : kThreadCounts) {
         PoolGuard guard(threads);
-        ml::Explorer explorer(space, simulator, opts);
+        ml::Explorer explorer(space, ml::pointwise(simulator), opts);
         explorer.step();
         explorer.step();
         sampled.push_back(explorer.sampledIndices());

@@ -625,16 +625,18 @@ TEST_F(RemoteTest, ExplorerRunUnderCrashChaosBitIdenticalToLocal)
     {
         study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
                                 kTraceLen);
-        auto simulate = [&](uint64_t i) { return ctx.simulateIpc(i); };
-        ml::Explorer explorer(ctx.space(), simulate, eopts);
+        ml::Explorer explorer(
+            ctx.space(),
+            [&](const auto &batch) { return ctx.simulateBatch(batch); },
+            eopts);
         localSteps = explorer.run();
         localEstimate = explorer.ensemble().estimate();
         localSampled = explorer.sampledIndices();
     }
 
-    // Same campaign, remote dispatch with a crashing worker in the
-    // fleet. The prefetch hook is an acceleration hint only: sampling,
-    // training, and the error estimate must not notice it exists.
+    // Same campaign, simulated through the dispatcher with a crashing
+    // worker in the fleet: sampling, training, and the error estimate
+    // must not notice where each result came from.
     util::FaultInjector::global().configure("remote.worker.crash:0.4:11");
     remote::SimWorker workerA(workerOptions(1));
     remote::SimWorker workerB(workerOptions(2));
@@ -646,11 +648,10 @@ TEST_F(RemoteTest, ExplorerRunUnderCrashChaosBitIdenticalToLocal)
     auto dopts = dispatcherOptions({workerA.port(), workerB.port()});
     dopts.requestTimeoutMs = 500;
     remote::RemoteDispatcher dispatcher(ctx, dopts);
-    eopts.prefetch = [&](const std::vector<uint64_t> &batch) {
-        dispatcher.prefetch(batch);
-    };
-    auto simulate = [&](uint64_t i) { return ctx.simulateIpc(i); };
-    ml::Explorer explorer(ctx.space(), simulate, eopts);
+    ml::Explorer explorer(
+        ctx.space(),
+        [&](const auto &batch) { return dispatcher.simulateBatch(batch); },
+        eopts);
     const auto steps = explorer.run();
 
     EXPECT_EQ(explorer.sampledIndices(), localSampled);

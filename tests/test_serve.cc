@@ -283,6 +283,17 @@ TEST(ServeShutdown, StopDrainsQueuedRequests)
     // flushes, then closes: the client must see every reply and only
     // then EOF.
     std::thread stopper([&] { server.stop(); });
+    // Join on every path: a throw from recvFrame must fail this test,
+    // not destroy a joinable thread and std::terminate the binary.
+    struct Joiner
+    {
+        std::thread &thread;
+        ~Joiner()
+        {
+            if (thread.joinable())
+                thread.join();
+        }
+    } joiner{stopper};
     int predictions = 0;
     for (;;) {
         auto frame = client.recvFrame();

@@ -187,7 +187,7 @@ printPoint(study::StudyContext &ctx, const ml::Ensemble &model,
     const double pred = model.predict(space.encodeIndex(idx));
     std::printf("point %llu: predicted IPC %.4f  (spread %.4f)\n",
                 static_cast<unsigned long long>(idx), pred,
-                model.memberSpread(space.encodeIndex(idx)));
+                model.memberSpreadIndices(space, {idx})[0]);
     const auto lv = space.levels(idx);
     for (size_t p = 0; p < space.numParams(); ++p) {
         if (space.param(p).kind == ml::ParamKind::Nominal) {
@@ -245,28 +245,25 @@ run(int argc, char **argv)
         eopts.activeLearning = opts.active;
         eopts.train.maxEpochs = opts.maxEpochs;
 
+        // The dispatcher is the study's one simulation source: with no
+        // endpoints it is the context's own pooled (detailed or
+        // SimPoint) batch path.
         remote::DispatcherOptions dopts =
             remote::DispatcherOptions::fromEnv();
         if (!opts.workers.empty())
             dopts.endpoints = remote::parseEndpoints(opts.workers);
         dopts.simpoint = opts.simpoint;
-        std::unique_ptr<remote::RemoteDispatcher> dispatcher;
-        if (!dopts.endpoints.empty()) {
-            dispatcher = std::make_unique<remote::RemoteDispatcher>(
-                ctx, dopts);
+        remote::RemoteDispatcher dispatcher(ctx, dopts);
+        if (dispatcher.active()) {
             std::printf("remote: %zu simulation worker(s); failures "
                         "fall back to local simulation\n",
                         dopts.endpoints.size());
-            eopts.prefetch = [&](const std::vector<uint64_t> &batch) {
-                dispatcher->prefetch(batch);
-            };
         }
 
-        auto simulate = [&](uint64_t i) {
-            return opts.simpoint ? ctx.simulateSimPointIpc(i)
-                                 : ctx.simulateIpc(i);
-        };
-        ml::Explorer explorer(ctx.space(), simulate, eopts);
+        ml::Explorer explorer(
+            ctx.space(),
+            [&](const auto &batch) { return dispatcher.simulateBatch(batch); },
+            eopts);
         for (const auto &step : explorer.run()) {
             std::printf("  %4zu sims: estimated error %.2f%% "
                         "+- %.2f%%\n",
@@ -277,8 +274,8 @@ run(int argc, char **argv)
         std::printf("done: %zu simulations%s\n",
                     explorer.sampledIndices().size(),
                     opts.simpoint ? " (SimPoint estimates)" : "");
-        if (dispatcher) {
-            const auto st = dispatcher->stats();
+        if (dispatcher.active()) {
+            const auto st = dispatcher.stats();
             std::printf("remote: %llu dispatched, %llu completed, "
                         "%llu retries, %llu hedges, %llu redispatches, "
                         "%llu local fallbacks\n",

@@ -187,7 +187,8 @@ run(int argc, char **argv)
         eopts.targetMeanPct = 0.0;  // one full batch, then serve
         eopts.train.maxEpochs = opts.maxEpochs;
         ml::Explorer explorer(
-            ctx.space(), [&](uint64_t i) { return ctx.simulateIpc(i); },
+            ctx.space(),
+            [&](const auto &batch) { return ctx.simulateBatch(batch); },
             eopts);
         explorer.step();
         state.ensemble = std::make_shared<const ml::Ensemble>(
