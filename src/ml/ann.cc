@@ -394,22 +394,22 @@ fusedBackUpdateOne(double *__restrict w, double *__restrict dw, int in,
 }
 
 /**
- * Body of the fused backprop + update for a multi-unit layer: per
+ * Fused backprop + update for a multi-unit layer: per
  * input row i, the pre-update weight row forms the incoming delta
  * (dot4 against the layer's own deltas — the exact backpropDeltas
  * arithmetic), then the same row takes the Equation-3.2 momentum
  * update (the exact updateLayer arithmetic, g[j] = eta * d[j]
  * precomputed into @p g). Each [(in + 1) x out] slab of the weight
  * and momentum arenas is therefore touched once per example instead
- * of twice. Always-inlined into ISA-cloned wrappers like the forward
- * kernels; the fixed-width wrappers pass stack g rows.
+ * of twice. ISA-cloned like the forward kernels; unlike them it has
+ * no fixed-width clones, which measured within noise of it (DESIGN.md,
+ * "Dispatch").
  */
-__attribute__((always_inline)) inline void
-fusedBackUpdateWideBody(double *__restrict w, double *__restrict dw,
-                        int in, int out, const double *__restrict act,
-                        const double *__restrict dnext,
-                        double *__restrict d, double eta, double alpha,
-                        double *__restrict g)
+DSE_TARGET_CLONES void
+fusedBackUpdateWide(double *__restrict w, double *__restrict dw, int in,
+                    int out, const double *__restrict act,
+                    const double *__restrict dnext, double *__restrict d,
+                    double eta, double alpha, double *__restrict g)
 {
     const size_t o = static_cast<size_t>(out);
     for (int j = 0; j < out; ++j)
@@ -435,45 +435,13 @@ fusedBackUpdateWideBody(double *__restrict w, double *__restrict dw,
     }
 }
 
-DSE_TARGET_CLONES void
-fusedBackUpdateWide(double *__restrict w, double *__restrict dw, int in,
-                    int out, const double *__restrict act,
-                    const double *__restrict dnext, double *__restrict d,
-                    double eta, double alpha, double *__restrict g)
-{
-    fusedBackUpdateWideBody(w, dw, in, out, act, dnext, d, eta, alpha, g);
-}
-
-/** Fixed-width clone: the paper's default hidden width. */
-DSE_TARGET_CLONES void
-fusedBackUpdateWide16(double *__restrict w, double *__restrict dw, int in,
-                      const double *__restrict act,
-                      const double *__restrict dnext,
-                      double *__restrict d, double eta, double alpha)
-{
-    double g[16];
-    fusedBackUpdateWideBody(w, dw, in, 16, act, dnext, d, eta, alpha, g);
-}
-
-/** Fixed-width clone: the benchmarked double-width variant. */
-DSE_TARGET_CLONES void
-fusedBackUpdateWide32(double *__restrict w, double *__restrict dw, int in,
-                      const double *__restrict act,
-                      const double *__restrict dnext,
-                      double *__restrict d, double eta, double alpha)
-{
-    double g[32];
-    fusedBackUpdateWideBody(w, dw, in, 32, act, dnext, d, eta, alpha, g);
-}
-
 /**
- * Fused backward+update for one layer, dispatched by width with the
- * same discipline as the forward pass: out == 1 stays plain (the
- * dominant shape — one delta chain per output unit — where cloning
- * pessimizes the tiny reduction ~7x), the fixed 16/32 widths and the
- * runtime width are ISA-cloned. Every target computes backpropDeltas'
- * and updateLayer's exact per-element arithmetic, so which one runs
- * is invisible in the results.
+ * Fused backward+update for one layer, dispatched by width: out == 1
+ * stays plain (the dominant shape — one delta chain per output unit —
+ * where cloning pessimizes the tiny reduction ~7x), every other width
+ * takes the ISA-cloned runtime-width kernel. Both compute
+ * backpropDeltas' and updateLayer's exact per-element arithmetic, so
+ * which one runs is invisible in the results.
  */
 inline void
 fusedBackUpdate(double *__restrict w, double *__restrict dw, int in,
@@ -483,10 +451,6 @@ fusedBackUpdate(double *__restrict w, double *__restrict dw, int in,
 {
     if (out == 1)
         fusedBackUpdateOne(w, dw, in, act, dnext[0], d, eta, alpha);
-    else if (out == 16)
-        fusedBackUpdateWide16(w, dw, in, act, dnext, d, eta, alpha);
-    else if (out == 32)
-        fusedBackUpdateWide32(w, dw, in, act, dnext, d, eta, alpha);
     else
         fusedBackUpdateWide(w, dw, in, out, act, dnext, d, eta, alpha, g);
 }

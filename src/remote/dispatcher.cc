@@ -22,8 +22,7 @@ namespace {
 /** remote.* instrumentation (metrics.hh registration idiom). */
 struct RemoteMetrics
 {
-    obs::CounterId dispatched, completed, retries, hedges;
-    obs::CounterId redispatches, fallbacks;
+    obs::CounterId dispatched, completed, retries, redispatches, fallbacks;
     obs::HistogramId batchWallNs;
 
     static const RemoteMetrics &
@@ -35,7 +34,6 @@ struct RemoteMetrics
             s.dispatched = r.counter("remote.dispatched");
             s.completed = r.counter("remote.completed");
             s.retries = r.counter("remote.retries");
-            s.hedges = r.counter("remote.hedges");
             s.redispatches = r.counter("remote.redispatches");
             s.fallbacks = r.counter("remote.fallbacks");
             s.batchWallNs = r.histogram("remote.batch_wall_ns");
@@ -44,6 +42,9 @@ struct RemoteMetrics
         return m;
     }
 };
+
+/** Seed of the dispatcher's backoff jitter stream. */
+constexpr uint64_t kBackoffSeed = 0xd15e7c4ull;
 
 /** Outcome of one remote attempt (drives retry bookkeeping). */
 enum class Outcome { Ok, Timeout, Disconnected, Other };
@@ -80,22 +81,14 @@ DispatcherOptions::fromEnv()
     o.batchPoints = static_cast<size_t>(std::max<long long>(
         1, envInt("DSE_REMOTE_BATCH",
                   static_cast<long long>(o.batchPoints))));
-    o.requestTimeoutMs = static_cast<int>(
-        envInt("DSE_REMOTE_TIMEOUT_MS", o.requestTimeoutMs));
     o.maxAttempts = static_cast<uint32_t>(std::max<long long>(
         1, envInt("DSE_REMOTE_ATTEMPTS", o.maxAttempts)));
     o.backoffBaseMs = static_cast<int>(
         envInt("DSE_REMOTE_BACKOFF_MS", o.backoffBaseMs));
-    o.backoffCapMs = static_cast<int>(
-        envInt("DSE_REMOTE_BACKOFF_CAP_MS", o.backoffCapMs));
-    o.hedgeAfterMs = static_cast<int>(
-        envInt("DSE_REMOTE_HEDGE_MS", o.hedgeAfterMs));
     o.breakerThreshold = static_cast<uint32_t>(std::max<long long>(
         1, envInt("DSE_REMOTE_BREAKER", o.breakerThreshold)));
     o.probeIntervalMs = static_cast<int>(std::max<long long>(
         1, envInt("DSE_REMOTE_PROBE_MS", o.probeIntervalMs)));
-    o.seed = static_cast<uint64_t>(
-        envInt("DSE_REMOTE_SEED", static_cast<long long>(o.seed)));
     return o;
 }
 
@@ -131,17 +124,13 @@ struct RemoteDispatcher::Task
     std::vector<uint64_t> indices;
     uint64_t key = 0;  ///< indices[0]; fault/backoff identity
 
-    // done is checked lock-free by the winning injector; everything
-    // else is guarded by the dispatcher mutex.
-    std::atomic<bool> done{false};
+    // Guarded by the dispatcher mutex. A task is queued, in flight, or
+    // settled (done or failed) — never two of these at once.
+    bool done = false;      ///< answered; results merged
     bool failed = false;    ///< exhausted; left to local simulation
-    bool settled = false;   ///< counted out of outstanding_
+    bool inflight = false;  ///< an endpoint thread is attempting it
     uint32_t attempt = 0;
     uint64_t notBeforeNs = 0;  ///< backoff gate
-    int inflight = 0;          ///< active attempts (hedges included)
-    int lastWorker = -1;
-    bool hedgedThisAttempt = false;
-    uint64_t inflightSinceNs = 0;
 };
 
 struct RemoteDispatcher::Worker
@@ -211,7 +200,6 @@ RemoteDispatcher::stats() const
     s.dispatched = counters_.dispatched.load();
     s.completed = counters_.completed.load();
     s.retries = counters_.retries.load();
-    s.hedges = counters_.hedges.load();
     s.redispatches = counters_.redispatches.load();
     s.fallbacks = counters_.fallbacks.load();
     return s;
@@ -236,15 +224,12 @@ RemoteDispatcher::allBreakersOpen() const
 
 // ---------------------------------------------------------- coordinator
 
-void
-RemoteDispatcher::prefetch(const std::vector<uint64_t> &indices)
+std::vector<double>
+RemoteDispatcher::simulateBatch(const std::vector<uint64_t> &indices)
 {
-    if (!active() || indices.empty())
-        return;
-
     // Only missing points travel; duplicates collapse.
     std::vector<uint64_t> todo;
-    {
+    if (active()) {
         std::unordered_set<uint64_t> seen;
         for (uint64_t idx : indices) {
             if (!seen.insert(idx).second)
@@ -256,8 +241,6 @@ RemoteDispatcher::prefetch(const std::vector<uint64_t> &indices)
                 todo.push_back(idx);
         }
     }
-    if (todo.empty())
-        return;
 
     std::vector<std::shared_ptr<Task>> tasks;
     for (size_t at = 0; at < todo.size(); at += opts_.batchPoints) {
@@ -277,68 +260,28 @@ RemoteDispatcher::prefetch(const std::vector<uint64_t> &indices)
     }
     workCv_.notify_all();
 
-    auto &registry = obs::MetricsRegistry::global();
-    const auto &rm = RemoteMetrics::get();
-
-    // Coordinator loop: wait for completion, hedge stragglers, and
-    // escalate to local fallback when every breaker is open. Attempts
-    // are deadline-bounded (serve::Client), retries are capped, and
+    // Coordinator loop: wait for completion and escalate to local
+    // fallback when every breaker is open. Attempts are
+    // deadline-bounded (serve::Client), retries are capped, and
     // all-dead abandons the rest, so this loop always terminates.
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        doneCv_.wait_for(lock, std::chrono::milliseconds(5),
-                         [&] { return outstanding_ == 0; });
-        if (outstanding_ == 0)
-            break;
-
-        const uint64_t now = nowNs();
-        if (opts_.hedgeAfterMs > 0 && workers_.size() > 1) {
-            const uint64_t after =
-                static_cast<uint64_t>(opts_.hedgeAfterMs) * 1000000ull;
-            for (auto &task : tasks) {
-                if (task->done.load(std::memory_order_acquire) ||
-                    task->failed || task->hedgedThisAttempt)
-                    continue;
-                if (task->inflight == 1 &&
-                    now - task->inflightSinceNs > after) {
-                    // Straggler: race a duplicate on another worker;
-                    // first reply wins (done flag), the loser's answer
-                    // is dropped by the dedup in attempt().
-                    task->hedgedThisAttempt = true;
-                    counters_.hedges.fetch_add(1);
-                    registry.add(rm.hedges);
-                    queue_.push_back(task);
-                    workCv_.notify_all();
-                }
-            }
-        }
-
-        if (allBreakersOpen()) {
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        while (!doneCv_.wait_for(lock, std::chrono::milliseconds(5),
+                                 [&] { return outstanding_ == 0; })) {
+            if (!allBreakersOpen())
+                continue;
             // Every worker is (believed) dead: stop queueing and let
             // the local path absorb whatever has not completed. Tasks
             // still in flight settle on their own within a deadline.
             for (auto &task : tasks) {
-                if (!task->done.load(std::memory_order_acquire) &&
-                    !task->failed && task->inflight == 0)
+                if (!task->done && !task->failed && !task->inflight)
                     failTask(task);
             }
         }
+        // Only failed tasks can still sit in the queue.
+        queue_.clear();
     }
 
-    // Drop any stale queue entries (hedge duplicates of settled
-    // tasks) so the next call starts clean.
-    queue_.erase(std::remove_if(
-                     queue_.begin(), queue_.end(),
-                     [](const std::shared_ptr<Task> &t) {
-                         return t->done.load() || t->failed;
-                     }),
-                 queue_.end());
-}
-
-std::vector<double>
-RemoteDispatcher::simulateBatch(const std::vector<uint64_t> &indices)
-{
-    prefetch(indices);
     // The context call resolves every index: remote results are memo
     // hits, exhausted batches simulate locally here. Merging by index
     // makes the sourcing invisible — output order and values are those
@@ -352,23 +295,10 @@ void
 RemoteDispatcher::failTask(const std::shared_ptr<Task> &task)
 {
     task->failed = true;
-    if (!task->settled) {
-        task->settled = true;
-        --outstanding_;
-        counters_.fallbacks.fetch_add(1);
-        obs::MetricsRegistry::global().add(RemoteMetrics::get().fallbacks);
-        doneCv_.notify_all();
-    }
-}
-
-// must hold mu_
-void
-RemoteDispatcher::requeue(const std::shared_ptr<Task> &task,
-                          uint64_t not_before_ns)
-{
-    task->notBeforeNs = not_before_ns;
-    task->hedgedThisAttempt = false;
-    queue_.push_back(task);
+    --outstanding_;
+    counters_.fallbacks.fetch_add(1);
+    obs::MetricsRegistry::global().add(RemoteMetrics::get().fallbacks);
+    doneCv_.notify_all();
 }
 
 // ------------------------------------------------------- endpoint threads
@@ -391,30 +321,17 @@ RemoteDispatcher::workerLoop(size_t wi)
                 return;
             if (!w.open.load(std::memory_order_relaxed)) {
                 const uint64_t now = nowNs();
-                for (size_t i = 0; i < queue_.size();) {
-                    auto &t = queue_[i];
-                    if (t->done.load(std::memory_order_acquire) ||
-                        t->failed) {
-                        queue_.erase(queue_.begin() +
-                                     static_cast<ptrdiff_t>(i));
-                        continue;
+                for (auto it = queue_.begin(); it != queue_.end();) {
+                    if ((*it)->failed) {
+                        it = queue_.erase(it);
+                    } else if ((*it)->notBeforeNs > now) {
+                        ++it;  // backing off
+                    } else {
+                        task = *it;
+                        queue_.erase(it);
+                        task->inflight = true;
+                        break;
                     }
-                    const bool hedge_entry = t->inflight > 0;
-                    if (t->notBeforeNs > now ||
-                        (hedge_entry && t->lastWorker ==
-                             static_cast<int>(wi))) {
-                        ++i;
-                        continue;  // not due / own straggler
-                    }
-                    task = t;
-                    queue_.erase(queue_.begin() +
-                                 static_cast<ptrdiff_t>(i));
-                    break;
-                }
-                if (task) {
-                    ++task->inflight;
-                    task->lastWorker = static_cast<int>(wi);
-                    task->inflightSinceNs = nowNs();
                 }
             }
         }
@@ -475,15 +392,12 @@ RemoteDispatcher::workerLoop(size_t wi)
 
         {
             std::lock_guard<std::mutex> lock(mu_);
-            --task->inflight;
+            task->inflight = false;
             if (outcome == Outcome::Ok) {
-                if (!task->settled) {
-                    task->settled = true;
-                    --outstanding_;
-                    doneCv_.notify_all();
-                }
-            } else if (!task->done.load(std::memory_order_acquire) &&
-                       !task->failed && task->inflight == 0) {
+                task->done = true;
+                --outstanding_;
+                doneCv_.notify_all();
+            } else {
                 ++task->attempt;
                 if (task->attempt >= opts_.maxAttempts) {
                     failTask(task);
@@ -497,11 +411,11 @@ RemoteDispatcher::workerLoop(size_t wi)
                         registry.add(rm.redispatches);
                     }
                     const int delay = backoffDelayMs(
-                        opts_.seed, task->key, task->attempt,
+                        kBackoffSeed, task->key, task->attempt,
                         opts_.backoffBaseMs, opts_.backoffCapMs);
-                    requeue(task, nowNs() +
-                                static_cast<uint64_t>(delay) *
-                                    1000000ull);
+                    task->notBeforeNs = nowNs() +
+                        static_cast<uint64_t>(delay) * 1000000ull;
+                    queue_.push_back(task);
                 }
             }
         }
@@ -547,20 +461,15 @@ RemoteDispatcher::attempt(size_t wi, const std::shared_ptr<Task> &task)
     w.consecutiveFailures.store(0);
     w.open.store(false);
 
-    // First reply wins: a hedged duplicate that lost the race drops
-    // its (identical) answer here.
-    if (!task->done.exchange(true, std::memory_order_acq_rel)) {
-        if (reply.simpoint) {
-            for (size_t i = 0; i < task->indices.size(); ++i)
-                ctx_.injectSimPointEstimate(task->indices[i],
-                                            reply.ipc[i]);
-        } else {
-            for (size_t i = 0; i < task->indices.size(); ++i)
-                ctx_.injectResult(task->indices[i], reply.results[i]);
-        }
-        counters_.completed.fetch_add(1);
-        registry.add(rm.completed);
+    if (reply.simpoint) {
+        for (size_t i = 0; i < task->indices.size(); ++i)
+            ctx_.injectSimPointEstimate(task->indices[i], reply.ipc[i]);
+    } else {
+        for (size_t i = 0; i < task->indices.size(); ++i)
+            ctx_.injectResult(task->indices[i], reply.results[i]);
     }
+    counters_.completed.fetch_add(1);
+    registry.add(rm.completed);
 
     const uint64_t wall = nowNs() - t0;
     registry.observe(rm.batchWallNs, wall);

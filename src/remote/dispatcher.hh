@@ -4,9 +4,8 @@
  * out across simulation workers (SimWorker daemons) with the full
  * resilience kit: per-request deadlines, retry with decorrelated
  * jitter backoff, per-worker circuit breakers with half-open ping
- * probing, re-dispatch of batches in flight on a dying worker, hedged
- * duplicate dispatch for stragglers, and graceful degradation to local
- * simulation.
+ * probing, re-dispatch of batches in flight on a dying worker, and
+ * graceful degradation to local simulation.
  *
  * Correctness invariant (the headline): a worker that hangs, crashes,
  * or drops its connection costs latency, never correctness. Remote
@@ -20,7 +19,7 @@
  * is wall-clock time and the remote.* counters.
  *
  * Determinism: the backoff schedule is a pure function of
- * (seed, batch key, attempt) — SplitMix64-derived decorrelated jitter
+ * (batch key, attempt) — SplitMix64-derived decorrelated jitter
  * — so retry timing is identical at any thread count. Fault-injection
  * keys are per-batch (first index), never wall clocks, keeping the
  * chaos suite's injected-fault sets reproducible.
@@ -30,10 +29,10 @@
  * simulation, so callers can wire the dispatcher unconditionally.
  *
  * Threading: one persistent I/O thread per endpoint pulls batch tasks
- * from a shared queue; the caller of simulateBatch()/prefetch() acts
- * as coordinator (hedging scan, all-breakers-open escalation,
- * completion wait). The StudyContext's sharded memo cache makes
- * concurrent result injection safe.
+ * from a shared queue, and a batch has at most one attempt in flight;
+ * the caller of simulateBatch() acts as coordinator (all-breakers-open
+ * escalation, completion wait). The StudyContext's sharded memo cache
+ * makes concurrent result injection safe.
  */
 
 #ifndef DSE_REMOTE_DISPATCHER_HH
@@ -80,11 +79,6 @@ struct DispatcherOptions
     /** Backoff base and cap for the jittered retry delay. */
     int backoffBaseMs = 5;
     int backoffCapMs = 1000;
-    /** Seed for the backoff jitter stream. */
-    uint64_t seed = 0xd15e7c4ull;
-    /** Hedge a batch onto a second worker once it has been in flight
-     *  this long with no reply (0 = hedging off). */
-    int hedgeAfterMs = 0;
     /** Consecutive failures that open a worker's circuit breaker. */
     uint32_t breakerThreshold = 3;
     /** Half-open probe (Ping) interval while a breaker is open. */
@@ -93,19 +87,17 @@ struct DispatcherOptions
     bool simpoint = false;
 
     /** Defaults overridden by DSE_WORKERS, DSE_REMOTE_BATCH,
-     *  DSE_REMOTE_ATTEMPTS, DSE_REMOTE_BACKOFF_MS,
-     *  DSE_REMOTE_HEDGE_MS, DSE_REMOTE_BREAKER, DSE_REMOTE_PROBE_MS,
-     *  DSE_REMOTE_SEED (and DSE_SERVE_TIMEOUT_MS via the client). */
+     *  DSE_REMOTE_ATTEMPTS, DSE_REMOTE_BACKOFF_MS, DSE_REMOTE_BREAKER,
+     *  DSE_REMOTE_PROBE_MS (and DSE_SERVE_TIMEOUT_MS via the client). */
     static DispatcherOptions fromEnv();
 };
 
 /** Dispatch counter snapshot (mirrored into remote.* obs metrics). */
 struct DispatchStats
 {
-    uint64_t dispatched = 0;    ///< batch attempts sent (incl. hedges)
+    uint64_t dispatched = 0;    ///< batch attempts sent
     uint64_t completed = 0;     ///< batches answered by a worker
     uint64_t retries = 0;       ///< re-attempts after a failure
-    uint64_t hedges = 0;        ///< duplicate dispatches issued
     uint64_t redispatches = 0;  ///< batches re-queued off a dead worker
     uint64_t fallbacks = 0;     ///< batches exhausted to local sim
 };
@@ -122,20 +114,14 @@ class RemoteDispatcher
     RemoteDispatcher &operator=(const RemoteDispatcher &) = delete;
 
     /**
-     * Pre-warm the context's memo cache for a batch: fan the missing
-     * indices out across live workers, merge what comes back, leave
-     * the rest. Never throws on worker failure; with no endpoints it
-     * returns immediately.
-     */
-    void prefetch(const std::vector<uint64_t> &indices);
-
-    /**
-     * prefetch() + the context's own batch call: every index resolves
-     * (remote where possible, locally otherwise), in input order.
-     * Bit-identical to StudyContext::simulateBatch (or
+     * Fan the indices the context has not resolved yet out across live
+     * workers, merge what comes back into the memo cache, then let the
+     * context's own batch call resolve every index (remote where
+     * possible, locally otherwise), in input order. Never throws on
+     * worker failure. Bit-identical to StudyContext::simulateBatch (or
      * simulateSimPointBatch when DispatcherOptions::simpoint) at any
-     * topology, including every worker dead. This is the
-     * ml::BatchSimulatorFn a remote exploration runs on.
+     * topology, including every worker dead or none configured. This
+     * is the ml::BatchSimulatorFn a remote exploration runs on.
      */
     std::vector<double>
     simulateBatch(const std::vector<uint64_t> &indices);
@@ -151,9 +137,9 @@ class RemoteDispatcher
     /**
      * The retry delay before attempt @p attempt of the batch keyed
      * @p key: decorrelated jitter in [base, min(cap, base << attempt)]
-     * derived from a SplitMix64 stream over (seed, key, attempt). A
-     * pure function — the whole backoff schedule is deterministic at
-     * any thread count.
+     * derived from a SplitMix64 stream over (seed, key, attempt); the
+     * dispatcher passes one fixed seed. A pure function — the whole
+     * backoff schedule is deterministic at any thread count.
      */
     static int backoffDelayMs(uint64_t seed, uint64_t key,
                               uint32_t attempt, int base_ms, int cap_ms);
@@ -166,7 +152,6 @@ class RemoteDispatcher
     /** One remote attempt of @p task on worker @p wi; returns true on
      *  success (results merged). */
     bool attempt(size_t wi, const std::shared_ptr<Task> &task);
-    void requeue(const std::shared_ptr<Task> &task, uint64_t not_before_ns);
     void failTask(const std::shared_ptr<Task> &task);
     bool allBreakersOpen() const;
     static uint64_t nowNs();
@@ -189,7 +174,6 @@ class RemoteDispatcher
         std::atomic<uint64_t> dispatched{0};
         std::atomic<uint64_t> completed{0};
         std::atomic<uint64_t> retries{0};
-        std::atomic<uint64_t> hedges{0};
         std::atomic<uint64_t> redispatches{0};
         std::atomic<uint64_t> fallbacks{0};
     };

@@ -2,9 +2,7 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <exception>
-#include <thread>
 
 #include "util/fault.hh"
 #include "util/metrics.hh"
@@ -98,18 +96,13 @@ SimWorker::handle(const serve::SimulateBatchRequest &req,
         return serve::SimulateVerdict::BadRequest;
     }
 
-    // Chaos sites, keyed by the batch's first index so the decision is
+    // Chaos site, keyed by the batch's first index so the decision is
     // a pure per-batch function (fault.hh determinism contract).
-    const uint64_t key = req.indices[0] ^ opts_.faultSalt;
-    auto &faults = util::FaultInjector::global();
-    if (faults.shouldFail("remote.worker.crash", key)) {
+    if (util::FaultInjector::global().shouldFail(
+            "remote.worker.crash", req.indices[0] ^ opts_.faultSalt)) {
         if (opts_.crashExits)
             _exit(3);  // emulate SIGKILL: no reply, no cleanup
         return serve::SimulateVerdict::Crash;
-    }
-    if (faults.shouldFail("remote.conn.delay", key)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(opts_.delayMs));
     }
 
     try {

@@ -12,20 +12,14 @@
  * locally. Results travel as raw IEEE-754 bit patterns (protocol.hh),
  * preserving that identity over the wire.
  *
- * Fault sites (chaos suite):
- *  - `remote.worker.crash`: the handler emulates a crash — in-process
- *    (crashExits=false) the connection goes silent and the server
- *    stops accepting, exactly what a SIGKILLed daemon looks like to
- *    the dispatcher; in the daemon (crashExits=true) the process
- *    _exit()s.
- *  - `remote.conn.delay`: the handler sleeps delayMs before replying,
- *    emulating a hung/overloaded worker (drives client timeouts and
- *    hedging).
- *
- * Both sites key on the batch's first design-point index XOR-mixed
- * with faultSalt, so the decision is deterministic per batch at any
- * thread count, and distinct salts let a test kill a batch on one
- * worker but not on its hedge target.
+ * Fault site (chaos suite): `remote.worker.crash` makes the handler
+ * emulate a crash — in-process (crashExits=false) the connection goes
+ * silent and the server stops accepting, exactly what a SIGKILLed
+ * daemon looks like to the dispatcher; in the daemon (crashExits=true)
+ * the process _exit()s. The site keys on the batch's first
+ * design-point index XOR-mixed with faultSalt, so the decision is
+ * deterministic per batch at any thread count, and distinct salts let
+ * a test kill a batch on one worker but not on another.
  */
 
 #ifndef DSE_REMOTE_WORKER_HH
@@ -53,10 +47,8 @@ struct SimWorkerOptions
      *  daemon); false = go silent and stop the server (in-process
      *  tests). */
     bool crashExits = false;
-    /** Sleep injected by remote.conn.delay, in milliseconds. */
-    int delayMs = 250;
-    /** XOR-mixed into crash/delay probe keys so co-located test
-     *  workers can fail independently for the same batch. */
+    /** XOR-mixed into the crash probe key so co-located test workers
+     *  can fail independently for the same batch. */
     uint64_t faultSalt = 0;
 };
 

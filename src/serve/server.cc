@@ -77,6 +77,10 @@ peekPointCount(const std::string &payload)
     return (r.ok() && n) ? n : 1;
 }
 
+/** A lingering socket whose peer has sent nothing for this long is
+ *  taken to have nothing in flight and is closed without its EOF. */
+constexpr uint64_t kLingerQuietNs = 50'000'000;
+
 } // namespace
 
 ServerOptions
@@ -100,8 +104,6 @@ ServerOptions::fromEnv()
         envInt("DSE_SERVE_QUEUE", static_cast<long long>(o.queueCapacity)));
     o.maxBatchPoints = static_cast<size_t>(envInt(
         "DSE_SERVE_BATCH", static_cast<long long>(o.maxBatchPoints)));
-    o.batchWindowUs = static_cast<int>(
-        envInt("DSE_SERVE_BATCH_US", o.batchWindowUs));
     o.idleTimeoutMs = static_cast<int>(
         envInt("DSE_SERVE_IDLE_MS", o.idleTimeoutMs));
     o.writeTimeoutMs = static_cast<int>(
@@ -209,6 +211,7 @@ Server::start()
 
     workerCount_ = opts_.workers ? opts_.workers
                                  : util::ThreadPool::configuredThreads();
+    liveWorkers_ = workerCount_;
     workerPool_ = std::make_unique<util::ThreadPool>(workerCount_);
     // The driver thread participates in its own parallelFor, so every
     // one of workerCount_ indices becomes a live drain loop (each
@@ -239,24 +242,19 @@ Server::stop()
     if (!running_.load(std::memory_order_acquire))
         return;
 
-    // Phase 1: stop accepting and reading; the I/O thread sees
-    // stopping_ and closes the listener.
+    // Phase 1: stop accepting. The I/O thread closes the listener,
+    // queues every frame peers have already sent, then lets the
+    // workers exit once the queue is empty.
     requestStop();
     pauseWorkersForTest(false);
 
-    // Phase 2: let the workers drain everything already queued.
-    {
-        std::lock_guard<std::mutex> lock(queueMu_);
-        workersExit_.store(true, std::memory_order_release);
-    }
-    queueCv_.notify_all();
+    // Phase 2: wait for the workers to answer everything queued.
     if (workerDriver_.joinable())
         workerDriver_.join();
     workerPool_.reset();
 
-    // Phase 3: the I/O thread flushes the outboxes and exits (it
-    // watches workersExit_ + empty queue + joined-worker state via
-    // workersDrained_ implied by this ordering).
+    // Phase 3: the I/O thread flushes the outboxes, closes every
+    // socket with FIN, and exits.
     workersDrained_.store(true, std::memory_order_release);
     wakeIo();
     if (ioThread_.joinable())
@@ -331,27 +329,38 @@ Server::ioLoop()
     for (;;) {
         const bool stopping = stopping_.load(std::memory_order_acquire);
         if (stopping && listener_open) {
+            // Closing a listener resets the connections still in its
+            // backlog; take them first so their frames get read.
+            acceptPending();
             close(listenFd_);
             listenFd_ = -1;
             listener_open = false;
         }
 
-        // Exit once workers are done and every outbox has flushed (or
-        // the drain deadline passes — a wedged client cannot hold
-        // shutdown hostage).
+        // Exit once workers are done, every outbox has flushed and
+        // every socket has closed (or the drain deadline passes — a
+        // wedged client cannot hold shutdown hostage).
         if (stopping && workersDrained_.load(std::memory_order_acquire)) {
+            const uint64_t now = nowNs();
             if (drain_start_ns == 0)
-                drain_start_ns = nowNs();
+                drain_start_ns = now;
+            const bool expired = now - drain_start_ns >
+                static_cast<uint64_t>(opts_.writeTimeoutMs) * 1000000ull;
             bool pending = false;
             for (auto &[fd, conn] : conns_) {
                 std::lock_guard<std::mutex> lock(conn->txMu);
                 if (!conn->tx.empty() && !conn->closed.load())
                     pending = true;
             }
-            const uint64_t deadline =
-                static_cast<uint64_t>(opts_.writeTimeoutMs) * 1000000ull;
-            if (!pending || nowNs() - drain_start_ns > deadline)
-                break;
+            if (!pending || expired) {
+                while (!conns_.empty()) {
+                    // A copy: closeConn() erases the map's own pointer.
+                    const auto conn = conns_.begin()->second;
+                    closeConn(conn);
+                }
+                if (lingering_.empty() || expired)
+                    break;
+            }
         }
 
         pfds.clear();
@@ -360,9 +369,9 @@ Server::ioLoop()
         if (listener_open)
             pfds.push_back({listenFd_, POLLIN, 0});
         for (auto &[fd, conn] : conns_) {
-            short events = 0;
-            if (!stopping && !conn->draining)
-                events |= POLLIN;
+            // Input stays open while stopping: frames a peer sent
+            // before the stop must be read, or close() would RST them.
+            short events = conn->draining ? 0 : POLLIN;
             {
                 std::lock_guard<std::mutex> lock(conn->txMu);
                 if (!conn->tx.empty())
@@ -371,6 +380,8 @@ Server::ioLoop()
             pfds.push_back({fd, events, 0});
             polled.push_back(conn);
         }
+        for (const auto &l : lingering_)
+            pfds.push_back({l.fd, POLLIN, 0});
 
         poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 50);
 
@@ -399,21 +410,30 @@ Server::ioLoop()
             if (conn->fd >= 0 && (re & (POLLIN | POLLHUP)))
                 handleReadable(conn);
         }
+        // Lingering sockets were appended after every polled conn and
+        // closeConn() above only appends more, so indices still line up.
+        for (size_t i = 0; at < pfds.size(); ++i, ++at) {
+            if (pfds[at].revents)
+                drainLingering(lingering_[i]);
+        }
 
         reapTimeouts(nowNs());
+
+        if (stopping && !workersExit_.load(std::memory_order_acquire)) {
+            // This pass read every frame sent before the stop request
+            // and queued it: the workers may now drain and exit.
+            {
+                std::lock_guard<std::mutex> lock(queueMu_);
+                workersExit_.store(true, std::memory_order_release);
+            }
+            queueCv_.notify_all();
+        }
     }
 
-    // Shutdown: close whatever is left.
-    std::vector<std::shared_ptr<Conn>> rest;
-    rest.reserve(conns_.size());
-    for (auto &[fd, conn] : conns_)
-        rest.push_back(conn);
-    for (auto &conn : rest)
-        closeConn(conn);
-    if (listener_open && listenFd_ >= 0) {
-        close(listenFd_);
-        listenFd_ = -1;
-    }
+    // Shutdown: close whatever outlived the drain deadline.
+    for (const auto &l : lingering_)
+        close(l.fd);
+    lingering_.clear();
 }
 
 void
@@ -582,6 +602,11 @@ Server::dispatchFrame(const std::shared_ptr<Conn> &conn, Frame frame)
 
     {
         std::lock_guard<std::mutex> lock(queueMu_);
+        if (liveWorkers_ == 0) {
+            sendError(conn, frame.id, ErrCode::ShuttingDown,
+                      "server is shutting down");
+            return;
+        }
         if (queue_.size() >= opts_.queueCapacity) {
             counters_.overloaded.fetch_add(1);
             obs::MetricsRegistry::global().add(
@@ -667,6 +692,23 @@ Server::reapTimeouts(uint64_t now_ns)
     }
     for (auto &conn : victims)
         closeConn(conn);
+
+    // A lingering socket closes once its peer goes quiet or the drain
+    // deadline since its FIN passes.
+    const uint64_t deadline =
+        static_cast<uint64_t>(opts_.writeTimeoutMs) * 1000000ull;
+    for (auto &l : lingering_) {
+        if (l.fd >= 0 && (now_ns - l.lastRxNs > kLingerQuietNs ||
+                          now_ns - l.sinceNs > deadline)) {
+            close(l.fd);
+            l.fd = -1;
+        }
+    }
+    lingering_.erase(std::remove_if(lingering_.begin(), lingering_.end(),
+                                    [](const Lingering &l) {
+                                        return l.fd < 0;
+                                    }),
+                     lingering_.end());
 }
 
 void
@@ -676,10 +718,32 @@ Server::closeConn(const std::shared_ptr<Conn> &conn)
         return;
     conn->closed.store(true, std::memory_order_release);
     conns_.erase(conn->fd);
-    shutdown(conn->fd, SHUT_RDWR);
-    close(conn->fd);
+    // Half-close and linger: close() with unread input would send RST,
+    // and a peer can lose replies it has not read yet to an RST.
+    shutdown(conn->fd, SHUT_WR);
+    const uint64_t now = nowNs();
+    lingering_.push_back(Lingering{conn->fd, now, now});
     conn->fd = -1;
     counters_.activeConnections.fetch_sub(1);
+}
+
+void
+Server::drainLingering(Lingering &l)
+{
+    char buf[4096];
+    for (;;) {
+        const ssize_t n = read(l.fd, buf, sizeof(buf));
+        if (n > 0) {
+            l.lastRxNs = nowNs();
+            continue;
+        }
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
+                      errno == EINTR))
+            return;
+        close(l.fd);  // EOF or error: the peer is done
+        l.fd = -1;
+        return;
+    }
 }
 
 // ---------------------------------------------------------------- replies
@@ -729,36 +793,27 @@ Server::popBatch(std::vector<Request> &batch)
             (!workersPaused_.load(std::memory_order_acquire) &&
              !queue_.empty());
     });
-    if (queue_.empty())
-        return !workersExit_.load(std::memory_order_acquire);
+    if (queue_.empty()) {
+        // Told to exit and nothing is left: this loop is done, and
+        // once every loop is, new requests get ShuttingDown.
+        --liveWorkers_;
+        return false;
+    }
 
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
     if (batch[0].frame.type != MsgType::PredictPoints)
         return true;
 
-    // Micro-batching: coalesce consecutive PredictPoints requests up
-    // to maxBatchPoints, optionally waiting batchWindowUs for more.
+    // Micro-batching: coalesce the PredictPoints requests queued right
+    // behind this one, up to maxBatchPoints.
     size_t points = peekPointCount(batch[0].frame.payload);
-    const auto deadline = std::chrono::steady_clock::now() +
-        std::chrono::microseconds(opts_.batchWindowUs);
-    for (;;) {
-        while (!queue_.empty() &&
-               queue_.front().frame.type == MsgType::PredictPoints &&
-               points < opts_.maxBatchPoints) {
-            points += peekPointCount(queue_.front().frame.payload);
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-        }
-        if (opts_.batchWindowUs <= 0 || points >= opts_.maxBatchPoints ||
-            workersExit_.load(std::memory_order_acquire))
-            break;
-        if (queueCv_.wait_until(lock, deadline) ==
-            std::cv_status::timeout)
-            break;
-        if (!queue_.empty() &&
-            queue_.front().frame.type != MsgType::PredictPoints)
-            break;
+    while (!queue_.empty() &&
+           queue_.front().frame.type == MsgType::PredictPoints &&
+           points < opts_.maxBatchPoints) {
+        points += peekPointCount(queue_.front().frame.payload);
+        batch.push_back(std::move(queue_.front()));
+        queue_.pop_front();
     }
     return true;
 }
@@ -768,8 +823,6 @@ Server::workerLoop()
 {
     std::vector<Request> batch;
     while (popBatch(batch)) {
-        if (batch.empty())
-            continue;
         // No handler exception may escape the worker thread: an
         // escaped throw would std::terminate the whole server off one
         // hostile frame. Decoders are designed not to throw, but a

@@ -6,8 +6,8 @@
  * TCP connections, incrementally frames their byte streams
  * (protocol.hh), and pushes decoded requests onto a *bounded* queue.
  * A dse::util::ThreadPool of workers drains the queue; adjacent small
- * PredictPoints requests of the same feature width are coalesced into
- * a single Ensemble::predictBatch call (micro-batching), so many
+ * PredictPoints requests already waiting in the queue are coalesced
+ * into a single Ensemble::predictBatch call (micro-batching), so many
  * clients asking for one point each ride the blocked SIMD kernels
  * instead of paying a full per-point pass. Replies are appended to a
  * per-connection outbox and flushed by the I/O thread, which is the
@@ -20,8 +20,10 @@
  * memory per client is bounded by one frame plus one outbox, and the
  * server never falls behind silently. Idle connections are reaped,
  * writes that make no progress for writeTimeoutMs are cut, and stop()
- * drains: accepted requests are answered, outboxes are flushed, then
- * sockets close.
+ * drains: frames peers already sent are read and answered, outboxes
+ * are flushed, then each socket half-closes and is read until the
+ * peer's EOF (or a short quiet spell) before it closes, so peers see
+ * FIN rather than RST.
  *
  * Predictions served over the wire are bit-identical to local
  * Ensemble::predictBatch output — doubles travel as raw IEEE-754 bit
@@ -70,9 +72,6 @@ struct ServerOptions
     size_t queueCapacity = 256;
     /** Max design points coalesced into one predictBatch call. */
     size_t maxBatchPoints = 1024;
-    /** Micro-batch window: after popping a request, wait up to this
-     *  long for more coalescable requests (0 = opportunistic only). */
-    int batchWindowUs = 0;
     /** Per-frame payload cap (protocol.hh). */
     uint32_t maxPayload = kDefaultMaxPayload;
     /** Close a connection idle (no frame, nothing pending) this long. */
@@ -83,8 +82,8 @@ struct ServerOptions
     size_t maxConnections = 256;
 
     /** Defaults overridden by DSE_SERVE_ADDR ("host" or "host:port"),
-     *  DSE_SERVE_BATCH, DSE_SERVE_BATCH_US, DSE_SERVE_QUEUE,
-     *  DSE_SERVE_WORKERS, DSE_SERVE_IDLE_MS, DSE_SERVE_WRITE_MS. */
+     *  DSE_SERVE_BATCH, DSE_SERVE_QUEUE, DSE_SERVE_WORKERS,
+     *  DSE_SERVE_IDLE_MS, DSE_SERVE_WRITE_MS. */
     static ServerOptions fromEnv();
 };
 
@@ -142,8 +141,9 @@ class Server
     /** The port actually bound (after start(); resolves port 0). */
     uint16_t port() const { return boundPort_; }
 
-    /** Graceful drain-then-stop: stop accepting, answer everything
-     *  already queued, flush outboxes, close, join. Idempotent. */
+    /** Graceful drain-then-stop: stop accepting, answer every frame
+     *  peers already sent (later ones get ShuttingDown), flush
+     *  outboxes, close with FIN, join. Idempotent. */
     void stop();
 
     /**
@@ -196,6 +196,16 @@ class Server
         Frame frame;
     };
 
+    /** A closed connection's socket, half-closed (SHUT_WR) and read
+     *  until the peer's EOF or a quiet spell, so a frame still in
+     *  flight cannot turn the close into an RST. */
+    struct Lingering
+    {
+        int fd = -1;
+        uint64_t sinceNs = 0;     ///< when the FIN went out
+        uint64_t lastRxNs = 0;    ///< last byte discarded from the peer
+    };
+
     // I/O thread.
     void ioLoop();
     void acceptPending();
@@ -205,6 +215,8 @@ class Server
     void flushWritable(const std::shared_ptr<Conn> &conn);
     void reapTimeouts(uint64_t now_ns);
     void closeConn(const std::shared_ptr<Conn> &conn);
+    /** Discard what a lingering peer sent; close on EOF or error. */
+    void drainLingering(Lingering &l);
 
     // Worker side.
     void workerLoop();
@@ -233,7 +245,7 @@ class Server
     int wakeWrite_ = -1;
 
     std::atomic<bool> running_{false};
-    std::atomic<bool> stopping_{false};   ///< stop accepting/reading
+    std::atomic<bool> stopping_{false};   ///< stop accepting
     std::atomic<bool> workersExit_{false};  ///< workers drain then exit
     std::atomic<bool> workersDrained_{false};  ///< workers joined; flush & exit
     std::atomic<bool> workersPaused_{false};
@@ -246,10 +258,14 @@ class Server
     mutable std::mutex queueMu_;
     std::condition_variable queueCv_;
     std::deque<Request> queue_;
+    /** Drain loops not yet exited (guarded by queueMu_); at 0 the I/O
+     *  thread answers new requests with ShuttingDown. */
+    size_t liveWorkers_ = 0;
 
     // I/O-thread-private connection table (shared_ptrs so workers can
     // hold a connection across its close).
     std::unordered_map<int, std::shared_ptr<Conn>> conns_;
+    std::vector<Lingering> lingering_;
     uint64_t nextConnId_ = 1;
 
     std::thread ioThread_;

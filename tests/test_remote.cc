@@ -522,7 +522,7 @@ TEST_F(RemoteTest, DropFaultCountersReconcileAtAnyThreadCount)
         dopts.maxAttempts = 3;
         dopts.breakerThreshold = 1000000;  // never opens
         remote::RemoteDispatcher dispatcher(ctx, dopts);
-        dispatcher.prefetch(indices);
+        dispatcher.simulateBatch(indices);
 
         const auto st = dispatcher.stats();
         EXPECT_EQ(st.dispatched, 9u) << threads;   // 3 batches x 3
@@ -530,48 +530,12 @@ TEST_F(RemoteTest, DropFaultCountersReconcileAtAnyThreadCount)
         EXPECT_EQ(st.redispatches, 6u) << threads; // drops disconnect
         EXPECT_EQ(st.fallbacks, 3u) << threads;
         EXPECT_EQ(st.completed, 0u) << threads;
-        EXPECT_EQ(st.hedges, 0u) << threads;
         EXPECT_EQ(util::FaultInjector::global().injected(
                       "remote.conn.drop"),
                   st.dispatched)
             << threads;
         util::FaultInjector::global().reset();
     }
-}
-
-TEST_F(RemoteTest, HedgedStragglerFirstReplyWins)
-{
-    const auto indices = sampleIndices();
-    study::StudyContext local(study::StudyKind::MemorySystem, "gzip",
-                              kTraceLen);
-    const auto want = local.simulateBatch(indices);
-
-    // Every batch hangs 300ms at the worker; two endpoints into the
-    // same daemon let the coordinator hedge the straggler onto the
-    // second connection after 50ms. First reply wins, the duplicate's
-    // identical answer is dropped.
-    util::FaultInjector::global().configure("remote.conn.delay:1:17");
-    auto wopts = workerOptions();
-    wopts.delayMs = 300;
-    remote::SimWorker worker(wopts);
-    worker.start();
-
-    study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
-                            kTraceLen);
-    auto dopts = dispatcherOptions({worker.port(), worker.port()});
-    dopts.batchPoints = indices.size();  // one task
-    dopts.hedgeAfterMs = 50;
-    remote::RemoteDispatcher dispatcher(ctx, dopts);
-    EXPECT_EQ(dispatcher.simulateBatch(indices), want);
-
-    const auto st = dispatcher.stats();
-    EXPECT_EQ(st.hedges, 1u);
-    EXPECT_EQ(st.dispatched, 2u);  // original + hedge
-    EXPECT_EQ(st.completed, 1u);   // deduped: one injection
-    EXPECT_EQ(st.fallbacks, 0u);
-    EXPECT_EQ(st.retries, 0u);
-    EXPECT_EQ(ctx.simulationsExecuted(), 0u);
-    worker.stop();
 }
 
 TEST_F(RemoteTest, CrashChaosResultsIdenticalAcrossPoolSizes)

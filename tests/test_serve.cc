@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -255,6 +256,53 @@ TEST(ServeBackpressure, QueueFullYieldsOverloaded)
         EXPECT_EQ(frame->type, serve::MsgType::Predictions);
     }
     EXPECT_EQ(server.statsSnapshot().overloaded, 3u);
+    server.stop();
+}
+
+TEST(ServeBatching, QueuedRequestsCoalesceBitIdentical)
+{
+    serve::Server server(testOptions());
+    server.setModel(tinyModel());
+    server.start();
+    server.pauseWorkersForTest(true);
+
+    // K single-point requests over two connections pile up behind the
+    // frozen workers; the first worker to wake takes them all in one
+    // predictBatch call (popBatch coalesces under the queue lock).
+    constexpr size_t kRequests = 8;
+    const auto space = tinySpace();
+    const size_t width = static_cast<size_t>(space.encodedWidth());
+    std::vector<double> x(kRequests * width);
+    for (size_t i = 0; i < kRequests; ++i)
+        space.encodeIndexInto(i * 5, &x[i * width]);
+    std::vector<double> local(kRequests);
+    tinyEnsemble().predictBatch(x.data(), kRequests, local.data());
+
+    serve::Client clients[2] = {connectTo(server), connectTo(server)};
+    std::vector<uint64_t> ids(kRequests);
+    for (size_t i = 0; i < kRequests; ++i) {
+        serve::PredictPointsRequest req;
+        req.width = static_cast<uint32_t>(width);
+        req.x.assign(x.begin() + static_cast<ptrdiff_t>(i * width),
+                     x.begin() + static_cast<ptrdiff_t>((i + 1) * width));
+        ids[i] = clients[i % 2].sendFrame(serve::MsgType::PredictPoints,
+                                          req.encode());
+    }
+    while (server.statsSnapshot().queueDepth < kRequests)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server.pauseWorkersForTest(false);
+
+    for (size_t i = 0; i < kRequests; ++i) {
+        auto frame = clients[i % 2].recvFrame();
+        ASSERT_TRUE(frame.has_value()) << "request " << i;
+        ASSERT_EQ(frame->type, serve::MsgType::Predictions);
+        EXPECT_EQ(frame->id, ids[i]);
+        serve::PredictionsReply reply;
+        ASSERT_TRUE(serve::PredictionsReply::decode(frame->payload, reply));
+        ASSERT_EQ(reply.y.size(), 1u);
+        EXPECT_EQ(reply.y[0], local[i]) << "request " << i;
+    }
+    EXPECT_EQ(server.statsSnapshot().batchedRequests, kRequests - 1);
     server.stop();
 }
 

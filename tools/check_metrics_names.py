@@ -18,7 +18,9 @@ Also lints the fault-injection namespace: every literal
 ``shouldFail("site", ...)`` probe must name a site from the allowlist
 below, which doubles as the documentation of record for DSE_FAULTS --
 a typo'd site would silently never fire, so an unknown one is an
-error here rather than a dead knob in production.
+error here rather than a dead knob in production. The converse holds
+too: an allowlisted site with no probe left in the scanned sources is
+a DSE_FAULTS entry that can never fire, and is an error as well.
 
 Runs as the ObsMetricNamesLint ctest; exits nonzero with one line per
 violation.
@@ -47,7 +49,6 @@ FAULT_SITES = {
     "serve.read",    # prediction-service socket reads
     "serve.write",   # prediction-service socket writes
     "remote.conn.drop",     # dispatcher: drop before a batch attempt
-    "remote.conn.delay",    # worker: stall a batch reply
     "remote.worker.crash",  # worker: die mid-request, no reply
 }
 # tests/ is excluded deliberately: the obs suite registers
@@ -61,6 +62,7 @@ def main() -> int:
         __file__).resolve().parent.parent
     failures = []
     kinds = {}  # name -> (kind, first site)
+    probed = set()  # fault sites with at least one probe
 
     for scan in SCAN_DIRS:
         base = root / scan
@@ -73,6 +75,7 @@ def main() -> int:
             if "util/fault" not in str(path):
                 for match in FAULT_RE.finditer(text):
                     site_name = match.group(1)
+                    probed.add(site_name)
                     line = text.count("\n", 0, match.start()) + 1
                     site = f"{path.relative_to(root)}:{line}"
                     if site_name not in FAULT_SITES:
@@ -103,6 +106,10 @@ def main() -> int:
     if not kinds:
         failures.append("no metric registrations found -- "
                         "scan roots or regex are stale")
+    for site_name in sorted(FAULT_SITES - probed):
+        failures.append(
+            f"fault site '{site_name}' is in the allowlist but has no "
+            f"shouldFail probe under {', '.join(SCAN_DIRS)}")
     for failure in failures:
         print(failure, file=sys.stderr)
     if failures:

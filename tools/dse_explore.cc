@@ -277,12 +277,11 @@ run(int argc, char **argv)
         if (dispatcher.active()) {
             const auto st = dispatcher.stats();
             std::printf("remote: %llu dispatched, %llu completed, "
-                        "%llu retries, %llu hedges, %llu redispatches, "
+                        "%llu retries, %llu redispatches, "
                         "%llu local fallbacks\n",
                         static_cast<unsigned long long>(st.dispatched),
                         static_cast<unsigned long long>(st.completed),
                         static_cast<unsigned long long>(st.retries),
-                        static_cast<unsigned long long>(st.hedges),
                         static_cast<unsigned long long>(st.redispatches),
                         static_cast<unsigned long long>(st.fallbacks));
         }

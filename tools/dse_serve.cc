@@ -60,9 +60,9 @@ usage()
         "  --queue=<n>                request-queue capacity (256)\n"
         "  --batch=<n>                max coalesced points (1024)\n"
         "  --metrics[=path]           dse::obs report at shutdown\n"
-        "env: DSE_SERVE_ADDR, DSE_SERVE_BATCH, DSE_SERVE_BATCH_US,\n"
-        "     DSE_SERVE_QUEUE, DSE_SERVE_WORKERS, DSE_SERVE_IDLE_MS,\n"
-        "     DSE_SERVE_WRITE_MS (flags win over env)\n"
+        "env: DSE_SERVE_ADDR, DSE_SERVE_BATCH, DSE_SERVE_QUEUE,\n"
+        "     DSE_SERVE_WORKERS, DSE_SERVE_IDLE_MS, DSE_SERVE_WRITE_MS\n"
+        "     (flags win over env)\n"
         "exit codes: 0 ok, 1 bad usage, 2 invalid input, 3 runtime or\n"
         "I/O failure, 4 internal");
 }

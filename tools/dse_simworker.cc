@@ -48,12 +48,11 @@ usage()
         "  --port-file=<path>     write the bound port to a file\n"
         "  --threads=<n>          server worker threads (DSE_THREADS)\n"
         "  --max-batch=<n>        max design points per request (4096)\n"
-        "  --delay-ms=<n>         remote.conn.delay sleep (250)\n"
         "  --fault-salt=<n>       mixed into fault-site keys so\n"
         "                         co-located workers fail independently\n"
         "  --metrics[=path]       dse::obs report at shutdown\n"
         "env: DSE_SERVE_ADDR, DSE_SERVE_QUEUE, DSE_SERVE_WORKERS,\n"
-        "     DSE_FAULTS (remote.worker.crash, remote.conn.delay)\n"
+        "     DSE_FAULTS (remote.worker.crash)\n"
         "exit codes: 0 ok, 1 bad usage, 2 invalid input, 3 runtime or\n"
         "I/O failure, 4 internal (3 also after an injected crash)");
 }
@@ -88,8 +87,6 @@ parse(int argc, char **argv, Options &opts)
         } else if (parseArg(arg, "--max-batch", value)) {
             opts.worker.maxBatchPoints =
                 static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--delay-ms", value)) {
-            opts.worker.delayMs = std::atoi(value.c_str());
         } else if (parseArg(arg, "--fault-salt", value)) {
             opts.worker.faultSalt =
                 static_cast<uint64_t>(std::atoll(value.c_str()));
