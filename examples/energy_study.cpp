@@ -26,8 +26,7 @@ main()
     study::StudyContext ctx(study::StudyKind::Processor, app);
     const auto &space = ctx.space();
 
-    auto edp_of = [&](uint64_t idx) {
-        const auto &r = ctx.simulateFull(idx);
+    auto edp_of = [&](uint64_t idx, const sim::SimResult &r) {
         return sim::computeEnergy(ctx.config(idx), r).edp * 1e6;
     };
 
@@ -36,9 +35,11 @@ main()
     const size_t n = static_cast<size_t>(
         0.015 * static_cast<double>(space.size()));
     const auto sample = rng.sampleWithoutReplacement(space.size(), n);
+    // One batch call simulates the whole sample on the thread pool.
+    const auto sims = ctx.simulateFullBatch(sample);
     ml::DataSet data;
-    for (uint64_t idx : sample)
-        data.add(space.encodeIndex(idx), edp_of(idx));
+    for (size_t i = 0; i < n; ++i)
+        data.add(space.encodeIndex(sample[i]), edp_of(sample[i], sims[i]));
 
     ml::TrainOptions train;
     train.maxEpochs = 5000;
@@ -48,10 +49,12 @@ main()
 
     // Validate on a holdout.
     const auto eval = study::holdoutIndices(space, sample, 250, 9);
+    const auto truths = ctx.simulateFullBatch(eval);
     std::vector<double> errs;
-    for (uint64_t idx : eval) {
+    for (size_t i = 0; i < eval.size(); ++i) {
         errs.push_back(percentageError(
-            model.predict(space.encodeIndex(idx)), edp_of(idx)));
+            model.predict(space.encodeIndex(eval[i])),
+            edp_of(eval[i], truths[i])));
     }
     std::printf("true EDP error on holdout: %.2f%% +- %.2f%%\n",
                 mean(errs), stddev(errs));

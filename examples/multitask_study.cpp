@@ -33,9 +33,11 @@ main()
     ml::MultiTaskDataSet data;
     data.targetNames = {"IPC", "L1D miss rate", "L2 miss rate",
                         "BP misprediction rate"};
-    for (uint64_t idx : sample) {
-        const auto &r = ctx.simulateFull(idx);
-        data.add(space.encodeIndex(idx),
+    // One batch call simulates the whole sample on the thread pool.
+    const auto sims = ctx.simulateFullBatch(sample);
+    for (size_t i = 0; i < n; ++i) {
+        const auto &r = sims[i];
+        data.add(space.encodeIndex(sample[i]),
                  {r.ipc, r.l1dMissRate, r.l2MissRate,
                   r.branchMispredictRate});
     }
@@ -49,12 +51,13 @@ main()
 
     // Evaluate all four heads on a holdout.
     const auto eval = study::holdoutIndices(space, sample, 250, 3);
+    const auto truths = ctx.simulateFullBatch(eval);
     std::vector<std::vector<double>> errs(data.targets());
-    for (uint64_t idx : eval) {
-        const auto &r = ctx.simulateFull(idx);
+    for (size_t i = 0; i < eval.size(); ++i) {
+        const auto &r = truths[i];
         const double truth[] = {r.ipc, r.l1dMissRate, r.l2MissRate,
                                 r.branchMispredictRate};
-        const auto pred = model.predictAll(space.encodeIndex(idx));
+        const auto pred = model.predictAll(space.encodeIndex(eval[i]));
         for (size_t t = 0; t < data.targets(); ++t)
             errs[t].push_back(percentageError(pred[t], truth[t]));
     }
@@ -69,7 +72,7 @@ main()
     // Show one prediction in full.
     const uint64_t probe = eval.front();
     const auto pred = model.predictAll(space.encodeIndex(probe));
-    const auto &r = ctx.simulateFull(probe);
+    const auto &r = truths.front();
     std::printf("\nexample point %llu:\n",
                 static_cast<unsigned long long>(probe));
     std::printf("  IPC        predicted %.3f  simulated %.3f\n",

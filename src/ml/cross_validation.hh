@@ -20,17 +20,18 @@
  *    rolls back to the best-seen weights.
  *
  * Fold networks are independent: each owns an RNG stream derived from
- * the training seed via SplitMix64, so trainEnsemble trains the k
- * folds concurrently on the global ThreadPool, with results
+ * the training seed via SplitMix64, so the fold loop
+ * (detail::trainFolds, shared with the multi-task trainer) trains the
+ * k folds concurrently on the global ThreadPool, with results
  * bit-identical to serial execution at any DSE_THREADS setting (see
  * DESIGN.md, "Parallel execution & determinism").
  *
- * Per fold, training rows are packed once into a contiguous matrix
- * with pre-encoded targets, and each epoch runs as a single
- * Ann::trainEpoch call over a pre-drawn presentation order (see
- * DESIGN.md, "Training pipeline") — bit-identical to the historical
- * per-example loop, without its per-presentation encode and vector
- * traffic.
+ * Targets are encoded once per data set; per fold, training rows are
+ * packed once into a contiguous matrix, and each epoch runs as a
+ * single Ann::trainEpoch call over a pre-drawn presentation order
+ * (see DESIGN.md, "Training pipeline") — bit-identical to the
+ * historical per-example loop, without its per-presentation encode
+ * and vector traffic.
  */
 
 #ifndef DSE_ML_CROSS_VALIDATION_HH
@@ -255,6 +256,42 @@ class Ensemble
  * @throws std::runtime_error if all folds diverge
  */
 Ensemble trainEnsemble(const DataSet &data, const TrainOptions &opts);
+
+namespace detail {
+
+/** The k-fold trainer's output, before a wrapper adds its scalers. */
+struct FoldResult
+{
+    std::vector<Ann> nets;  ///< surviving fold networks, in fold order
+    ErrorEstimate estimate;  ///< of output 0; widened if degraded
+    std::vector<TrainWarning> warnings;  ///< one per dropped fold
+};
+
+/**
+ * The one k-fold cross-validation loop behind trainEnsemble and
+ * trainMultiTaskEnsemble: fold dealing and rotation, per-fold
+ * SplitMix64 streams, concurrent fold training with retries, weighted
+ * presentation and early stopping on the primary target, and the
+ * pooled (widened) estimate.
+ *
+ * @param x encoded feature rows
+ * @param primary raw targets of output 0 (presentation weights,
+ *        early stopping and the error estimate read only these)
+ * @param scaler the fitted scaler of output 0
+ * @param encoded row-major [x.size() x outputs] targets, already
+ *        encoded by each output's scaler
+ * @param outputs output units per network
+ * @throws std::invalid_argument if x has fewer than opts.folds rows
+ *         or opts.folds < 2
+ * @throws std::runtime_error if all folds diverge
+ */
+FoldResult trainFolds(const std::vector<std::vector<double>> &x,
+                      const std::vector<double> &primary,
+                      const TargetScaler &scaler,
+                      const std::vector<double> &encoded, int outputs,
+                      const TrainOptions &opts);
+
+} // namespace detail
 
 } // namespace ml
 } // namespace dse

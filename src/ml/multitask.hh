@@ -11,6 +11,11 @@
  * once, sharing its hidden layer. The shared representation acts as
  * an inductive bias that can improve the main metric's accuracy in
  * the sparse-sampling regime.
+ *
+ * Training is not a second procedure: trainMultiTaskEnsemble runs the
+ * same fold loop as trainEnsemble (detail::trainFolds) with one output
+ * unit per target, so multi-task folds also train concurrently, retry
+ * on divergence, and widen the estimate when a fold is dropped.
  */
 
 #ifndef DSE_ML_MULTITASK_HH
@@ -73,9 +78,17 @@ class MultiTaskEnsemble
 };
 
 /**
- * Train a multi-task ensemble with the same fold rotation, weighted
- * presentation (by the primary target), and percentage-error early
- * stopping (on the primary target) as the single-task trainer.
+ * Train a multi-task ensemble through trainEnsemble's fold loop
+ * (detail::trainFolds): the same fold rotation, concurrent folds on
+ * per-fold SplitMix64 streams (bit-identical at any DSE_THREADS),
+ * divergence retries, weighted presentation and early stopping
+ * (opts.percentageEarlyStop) on the primary target. Each target gets
+ * its own scaler. A fold that exhausts its retries is dropped, so
+ * members() may be below opts.folds; estimate() is then widened by
+ * sqrt(k / survivors).
+ *
+ * @throws std::invalid_argument with no targets or too few rows
+ * @throws std::runtime_error if all folds diverge
  */
 MultiTaskEnsemble trainMultiTaskEnsemble(const MultiTaskDataSet &data,
                                          const TrainOptions &opts);

@@ -46,6 +46,9 @@ struct RemoteMetrics
 /** Seed of the dispatcher's backoff jitter stream. */
 constexpr uint64_t kBackoffSeed = 0xd15e7c4ull;
 
+/** Half-open probe (Ping) interval while a breaker is open. */
+constexpr uint64_t kProbeIntervalMs = 100;
+
 /** Outcome of one remote attempt (drives retry bookkeeping). */
 enum class Outcome { Ok, Timeout, Disconnected, Other };
 
@@ -87,8 +90,6 @@ DispatcherOptions::fromEnv()
         envInt("DSE_REMOTE_BACKOFF_MS", o.backoffBaseMs));
     o.breakerThreshold = static_cast<uint32_t>(std::max<long long>(
         1, envInt("DSE_REMOTE_BREAKER", o.breakerThreshold)));
-    o.probeIntervalMs = static_cast<int>(std::max<long long>(
-        1, envInt("DSE_REMOTE_PROBE_MS", o.probeIntervalMs)));
     return o;
 }
 
@@ -141,7 +142,6 @@ struct RemoteDispatcher::Worker
     uint64_t lastProbeNs = 0;    ///< thread-private (half-open pings)
     std::atomic<uint32_t> consecutiveFailures{0};
     std::atomic<bool> open{false};  ///< circuit breaker state
-    obs::HistogramId latency;       ///< per-worker wall time
 };
 
 RemoteDispatcher::RemoteDispatcher(study::StudyContext &ctx,
@@ -153,17 +153,11 @@ RemoteDispatcher::RemoteDispatcher(study::StudyContext &ctx,
     if (opts_.maxAttempts == 0)
         opts_.maxAttempts = 1;
     workers_.reserve(opts_.endpoints.size());
-    for (size_t i = 0; i < opts_.endpoints.size(); ++i) {
+    for (const auto &ep : opts_.endpoints) {
         auto w = std::make_unique<Worker>();
-        w->ep = opts_.endpoints[i];
+        w->ep = ep;
         if (opts_.requestTimeoutMs > 0)
             w->client.setTimeout(opts_.requestTimeoutMs);
-        // Per-worker latency series for the first few endpoints (the
-        // common case); the registry treats an invalid id as a no-op.
-        if (i < 8) {
-            w->latency = obs::MetricsRegistry::global().histogram(
-                "remote.worker" + std::to_string(i) + ".latency_ns");
-        }
         workers_.push_back(std::move(w));
     }
     threads_.reserve(workers_.size());
@@ -341,9 +335,7 @@ RemoteDispatcher::workerLoop(size_t wi)
             // schedule, then yield briefly so this loop stays cold.
             if (w.open.load(std::memory_order_relaxed)) {
                 const uint64_t now = nowNs();
-                if (now - w.lastProbeNs >=
-                    static_cast<uint64_t>(opts_.probeIntervalMs) *
-                        1000000ull) {
+                if (now - w.lastProbeNs >= kProbeIntervalMs * 1000000ull) {
                     w.lastProbeNs = now;
                     try {
                         if (!w.connected) {
@@ -473,7 +465,6 @@ RemoteDispatcher::attempt(size_t wi, const std::shared_ptr<Task> &task)
 
     const uint64_t wall = nowNs() - t0;
     registry.observe(rm.batchWallNs, wall);
-    registry.observe(w.latency, wall);
     return true;
 }
 

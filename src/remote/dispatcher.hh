@@ -81,14 +81,12 @@ struct DispatcherOptions
     int backoffCapMs = 1000;
     /** Consecutive failures that open a worker's circuit breaker. */
     uint32_t breakerThreshold = 3;
-    /** Half-open probe (Ping) interval while a breaker is open. */
-    int probeIntervalMs = 100;
     /** Route SimPoint-estimate batches instead of detailed ones. */
     bool simpoint = false;
 
     /** Defaults overridden by DSE_WORKERS, DSE_REMOTE_BATCH,
-     *  DSE_REMOTE_ATTEMPTS, DSE_REMOTE_BACKOFF_MS, DSE_REMOTE_BREAKER,
-     *  DSE_REMOTE_PROBE_MS (and DSE_SERVE_TIMEOUT_MS via the client). */
+     *  DSE_REMOTE_ATTEMPTS, DSE_REMOTE_BACKOFF_MS, DSE_REMOTE_BREAKER
+     *  (and DSE_SERVE_TIMEOUT_MS via the client). */
     static DispatcherOptions fromEnv();
 };
 

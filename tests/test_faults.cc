@@ -26,6 +26,7 @@
 
 #include "ml/cross_validation.hh"
 #include "ml/io.hh"
+#include "ml/multitask.hh"
 #include "study/harness.hh"
 #include "study/journal.hh"
 #include "util/fault.hh"
@@ -360,6 +361,28 @@ fastTrainOptions()
     return opts;
 }
 
+/**
+ * A "fold" fault spec that fails exactly the first attempt of fold 0
+ * under fastTrainOptions() (keys are fold*64 + attempt, so key 0 is
+ * fold 0, attempt 0): the fold recovers on retry and the ensemble
+ * stays whole. Empty if no seed in the search range qualifies.
+ */
+std::string
+firstAttemptOfFold0Spec()
+{
+    for (int seed = 1; seed <= 64; ++seed) {
+        const std::string spec = "fold:0.2:" + std::to_string(seed);
+        util::FaultInjector fi;
+        fi.configure(spec);
+        if (fi.shouldFail("fold", 0) && !fi.shouldFail("fold", 1) &&
+            !fi.shouldFail("fold", 64) && !fi.shouldFail("fold", 128) &&
+            !fi.shouldFail("fold", 192)) {
+            return spec;
+        }
+    }
+    return "";
+}
+
 TEST_F(FaultsTraining, AnnFlagsNonFiniteTraining)
 {
     ml::AnnParams params;
@@ -445,23 +468,9 @@ TEST_F(FaultsTraining, DegradedEstimateIsWidened)
     const auto healthy = ml::trainEnsemble(data, opts);
     ASSERT_FALSE(healthy.degraded());
 
-    // Force exactly the first attempt of fold 0 to fail (keys are
-    // fold*64 + attempt, so key 0 is fold 0, attempt 0): the fold
-    // recovers on retry, the ensemble stays whole.
-    int retry_seed = -1;
-    for (int seed = 1; seed <= 64; ++seed) {
-        util::FaultInjector fi;
-        fi.configure("fold:0.2:" + std::to_string(seed));
-        if (fi.shouldFail("fold", 0) && !fi.shouldFail("fold", 1) &&
-            !fi.shouldFail("fold", 64) && !fi.shouldFail("fold", 128) &&
-            !fi.shouldFail("fold", 192)) {
-            retry_seed = seed;
-            break;
-        }
-    }
-    ASSERT_GT(retry_seed, 0);
-    util::FaultInjector::global().configure(
-        "fold:0.2:" + std::to_string(retry_seed));
+    const std::string retry_spec = firstAttemptOfFold0Spec();
+    ASSERT_FALSE(retry_spec.empty());
+    util::FaultInjector::global().configure(retry_spec);
     const auto retried = ml::trainEnsemble(data, opts);
     EXPECT_FALSE(retried.degraded());
     EXPECT_EQ(retried.members(), static_cast<size_t>(opts.folds));
@@ -476,6 +485,31 @@ TEST_F(FaultsTraining, DegradedEstimateIsWidened)
     // All folds failing is a hard error, not a silent empty model.
     util::FaultInjector::global().configure("fold:1:7");
     EXPECT_THROW(ml::trainEnsemble(data, opts), std::runtime_error);
+}
+
+TEST_F(FaultsTraining, MultiTaskFoldFaultsRetryThenThrow)
+{
+    // Multi-task folds run through trainEnsemble's fold loop, so they
+    // share its fault site, retries and all-folds-failed error.
+    Rng rng(3);
+    ml::MultiTaskDataSet data;
+    data.targetNames = {"ipc", "missRate"};
+    for (int i = 0; i < 80; ++i) {
+        const double a = rng.uniform(), b = rng.uniform();
+        data.add({a, b}, {0.5 + 0.3 * a - 0.2 * b, 0.3 - 0.2 * a});
+    }
+    const auto opts = fastTrainOptions();
+
+    const std::string retry_spec = firstAttemptOfFold0Spec();
+    ASSERT_FALSE(retry_spec.empty());
+    util::FaultInjector::global().configure(retry_spec);
+    const auto retried = ml::trainMultiTaskEnsemble(data, opts);
+    EXPECT_EQ(retried.members(), static_cast<size_t>(opts.folds));
+    EXPECT_TRUE(std::isfinite(retried.predictPrimary({0.4, 0.6})));
+
+    util::FaultInjector::global().configure("fold:1:7");
+    EXPECT_THROW(ml::trainMultiTaskEnsemble(data, opts),
+                 std::runtime_error);
 }
 
 TEST_F(FaultsTraining, FaultsOnOtherSitesLeaveTrainingBitIdentical)

@@ -23,6 +23,7 @@
 
 #include "ml/ann.hh"
 #include "ml/explorer.hh"
+#include "ml/multitask.hh"
 #include "study/harness.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
@@ -191,6 +192,41 @@ TEST(ParallelDeterminism, TrainEnsembleBitIdenticalAcrossThreadCounts)
     expectEnsemblesIdentical(models[0], models[2], "1 vs 8 threads");
     EXPECT_EQ(models[0].predict({0.3, 0.7}),
               models[2].predict({0.3, 0.7}));
+}
+
+TEST(ParallelDeterminism, TrainMultiTaskEnsembleBitIdenticalAcrossThreadCounts)
+{
+    // Multi-task folds train on the pool through the same fold loop
+    // as trainEnsemble; every output must be identical at any width.
+    Rng rng(22);
+    ml::MultiTaskDataSet data;
+    data.targetNames = {"ipc", "missRate"};
+    for (int i = 0; i < 100; ++i) {
+        const double a = rng.uniform(), b = rng.uniform();
+        data.add({a, b}, {0.5 + 0.9 * a - 0.4 * a * b,
+                          0.3 - 0.25 * a + 0.1 * b});
+    }
+    ml::TrainOptions opts;
+    opts.folds = 5;
+    opts.maxEpochs = 150;
+    opts.esInterval = 25;
+    opts.patience = 4;
+
+    std::vector<ml::MultiTaskEnsemble> models;
+    for (size_t threads : kThreadCounts) {
+        PoolGuard guard(threads);
+        models.push_back(ml::trainMultiTaskEnsemble(data, opts));
+    }
+    for (size_t t = 1; t < models.size(); ++t) {
+        EXPECT_EQ(models[t].members(), models[0].members());
+        EXPECT_EQ(models[t].estimate().meanPct,
+                  models[0].estimate().meanPct);
+        EXPECT_EQ(models[t].estimate().sdPct, models[0].estimate().sdPct);
+        for (const std::vector<double> &x :
+             {std::vector<double>{0.3, 0.7}, std::vector<double>{0.9, 0.1}})
+            EXPECT_EQ(models[t].predictAll(x), models[0].predictAll(x))
+                << "threads=" << kThreadCounts[t];
+    }
 }
 
 TEST(ParallelDeterminism, TrainEpochBitIdenticalToPerExampleAcrossThreadCounts)
