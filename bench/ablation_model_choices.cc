@@ -36,9 +36,10 @@ main()
         0.02 * static_cast<double>(ctx.space().size()));
     const auto train_idx =
         rng.sampleWithoutReplacement(ctx.space().size(), n);
+    const auto train_ipc = ctx.simulateBatch(train_idx);
     ml::DataSet data;
-    for (uint64_t idx : train_idx)
-        data.add(ctx.space().encodeIndex(idx), ctx.simulateIpc(idx));
+    for (size_t i = 0; i < n; ++i)
+        data.add(ctx.space().encodeIndex(train_idx[i]), train_ipc[i]);
     const auto eval = study::holdoutIndices(ctx.space(), train_idx,
                                             scope.evalPoints, 33);
 
@@ -95,12 +96,12 @@ main()
     {
         auto opts = base;
         const auto model = ml::trainEnsemble(data, opts);
+        const auto truth = ctx.simulateBatch(eval);
         std::vector<double> errors;
-        for (uint64_t idx : eval) {
+        for (size_t i = 0; i < eval.size(); ++i) {
             const double pred = model.predictMember(
-                0, ctx.space().encodeIndex(idx));
-            errors.push_back(
-                percentageError(pred, ctx.simulateIpc(idx)));
+                0, ctx.space().encodeIndex(eval[i]));
+            errors.push_back(percentageError(pred, truth[i]));
         }
         t.newRow();
         t.add(std::string("single member (no averaging)"));

@@ -106,23 +106,18 @@ learningCurve(study::StudyContext &ctx, const std::vector<size_t> &sizes,
                                             eval_points, seed + 1);
 
     // Run every training-set simulation up front as one parallel
-    // batch; the incremental loop below then reads the memoized
-    // results (the holdout is batched inside measureTrueError).
-    if (simpoint)
-        ctx.simulateSimPointBatch(order);
-    else
-        ctx.simulateBatch(order);
+    // batch; the incremental loop below adds its values in order (the
+    // holdout is batched inside measureTrueError).
+    const auto targets = ctx.simulateBatch(
+        order, simpoint ? study::Fidelity::SimPoint
+                        : study::Fidelity::Detailed);
 
     std::vector<CurvePoint> curve;
     ml::DataSet data;
     size_t filled = 0;
     for (size_t n : sizes) {
-        for (; filled < n; ++filled) {
-            const uint64_t idx = order[filled];
-            const double y = simpoint ? ctx.simulateSimPointIpc(idx)
-                                      : ctx.simulateIpc(idx);
-            data.add(ctx.space().encodeIndex(idx), y);
-        }
+        for (; filled < n; ++filled)
+            data.add(ctx.space().encodeIndex(order[filled]), targets[filled]);
         ml::TrainOptions opts = train;
         opts.seed = train.seed + n;
         const auto model = ml::trainEnsemble(data, opts);

@@ -18,6 +18,7 @@
 #include "ml/crossapp.hh"
 #include "simpoint/smarts.hh"
 #include "util/stats.hh"
+#include "util/thread_pool.hh"
 
 using namespace dse;
 using namespace dse::bench;
@@ -46,11 +47,18 @@ crossAppComparison(const std::vector<std::string> &apps,
     const auto eval = study::holdoutIndices(space, train_idx,
                                             eval_points, 43);
 
+    // Simulate every app's sample and holdout, one batch each.
+    std::vector<std::vector<double>> train_ipc, eval_ipc;
+    for (const auto &ctx : ctxs) {
+        train_ipc.push_back(ctx->simulateBatch(train_idx));
+        eval_ipc.push_back(ctx->simulateBatch(eval));
+    }
+
     // Joint model over all apps' samples.
     std::vector<ml::CrossAppSample> samples;
     for (size_t a = 0; a < apps.size(); ++a) {
-        for (uint64_t idx : train_idx)
-            samples.push_back({a, idx, ctxs[a]->simulateIpc(idx)});
+        for (size_t i = 0; i < train_idx.size(); ++i)
+            samples.push_back({a, train_idx[i], train_ipc[a][i]});
     }
     const auto joint_model =
         ml::trainCrossAppEnsemble(joint, samples, benchTrainOptions());
@@ -59,18 +67,18 @@ crossAppComparison(const std::vector<std::string> &apps,
     for (size_t a = 0; a < apps.size(); ++a) {
         // Per-app baseline on the same sample.
         ml::DataSet solo;
-        for (uint64_t idx : train_idx)
-            solo.add(space.encodeIndex(idx), ctxs[a]->simulateIpc(idx));
+        for (size_t i = 0; i < train_idx.size(); ++i)
+            solo.add(space.encodeIndex(train_idx[i]), train_ipc[a][i]);
         const auto solo_model =
             ml::trainEnsemble(solo, benchTrainOptions());
 
         std::vector<double> solo_err, joint_err;
-        for (uint64_t idx : eval) {
-            const double truth = ctxs[a]->simulateIpc(idx);
+        for (size_t i = 0; i < eval.size(); ++i) {
+            const double truth = eval_ipc[a][i];
             solo_err.push_back(percentageError(
-                solo_model.predict(space.encodeIndex(idx)), truth));
+                solo_model.predict(space.encodeIndex(eval[i])), truth));
             joint_err.push_back(percentageError(
-                joint_model.predict(joint.encode(a, idx)), truth));
+                joint_model.predict(joint.encode(a, eval[i])), truth));
         }
         t.newRow();
         t.add(apps[a]);
@@ -97,18 +105,22 @@ smartsVsSimPoint(const std::string &app, size_t trace_length)
         1, ctx.trace().size() / std::max<size_t>(1, sp_instr) / 2);
 
     Rng rng(47);
+    std::vector<uint64_t> points;
+    for (int i = 0; i < 12; ++i)
+        points.push_back(rng.below(ctx.space().size()));
+    const auto full = ctx.simulateBatch(points);
+    const auto sp = ctx.simulateBatch(points, study::Fidelity::SimPoint);
+    std::vector<simpoint::SmartsEstimate> sm(points.size());
+    util::ThreadPool::global().parallelFor(0, points.size(), [&](size_t i) {
+        sm[i] = simpoint::smartsEstimateIpc(ctx.trace(),
+                                            ctx.config(points[i]), smarts);
+    });
     std::vector<double> sp_err, sm_err;
-    size_t sm_instr = 0;
-    for (int i = 0; i < 12; ++i) {
-        const uint64_t idx = rng.below(ctx.space().size());
-        const double full = ctx.simulateIpc(idx);
-        sp_err.push_back(percentageError(
-            ctx.simulateSimPointIpc(idx), full));
-        const auto est = simpoint::smartsEstimateIpc(
-            ctx.trace(), ctx.config(idx), smarts);
-        sm_instr = est.instructionsSimulated;
-        sm_err.push_back(percentageError(est.ipc, full));
+    for (size_t i = 0; i < points.size(); ++i) {
+        sp_err.push_back(percentageError(sp[i], full[i]));
+        sm_err.push_back(percentageError(sm[i].ipc, full[i]));
     }
+    const size_t sm_instr = sm.back().instructionsSimulated;
     Table t({"estimator", "detailed_instr", "mean_err%", "sd_err%"});
     t.newRow();
     t.add(std::string("SimPoint (calibrated)"));

@@ -28,22 +28,21 @@ sharedContext()
     return ctx;
 }
 
+/** Simulated targets of a fixed 9% sample, one batch on first use. */
 const ml::DataSet &
-sharedData(size_t n)
+sharedData()
 {
     static ml::DataSet data;
-    static std::vector<uint64_t> order;
     auto &ctx = sharedContext();
-    if (order.empty()) {
+    if (data.size() == 0) {
         Rng rng(7);
-        order = rng.sampleWithoutReplacement(
+        const auto order = rng.sampleWithoutReplacement(
             ctx.space().size(),
             static_cast<size_t>(0.09 * static_cast<double>(
                 ctx.space().size())) + 1);
-    }
-    while (data.size() < n && data.size() < order.size()) {
-        const uint64_t idx = order[data.size()];
-        data.add(ctx.space().encodeIndex(idx), ctx.simulateIpc(idx));
+        const auto ipc = ctx.simulateBatch(order);
+        for (size_t i = 0; i < order.size(); ++i)
+            data.add(ctx.space().encodeIndex(order[i]), ipc[i]);
     }
     return data;
 }
@@ -55,7 +54,7 @@ BM_EnsembleTraining(benchmark::State &state)
     const double pct = static_cast<double>(state.range(0));
     const size_t n = static_cast<size_t>(
         pct / 100.0 * static_cast<double>(ctx.space().size()));
-    const auto &all = sharedData(n);
+    const auto &all = sharedData();
     ml::DataSet data;
     for (size_t i = 0; i < n; ++i)
         data.add(all.x[i], all.y[i]);

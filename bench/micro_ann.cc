@@ -17,6 +17,7 @@
 #include "sim/cacti.hh"
 #include "sim/core.hh"
 #include "study/spaces.hh"
+#include "tests/oracles.hh"
 #include "util/rng.hh"
 #include "workload/generator.hh"
 

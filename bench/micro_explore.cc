@@ -21,6 +21,7 @@
 #include "ml/cross_validation.hh"
 #include "ml/explorer.hh"
 #include "study/spaces.hh"
+#include "tests/oracles.hh"
 #include "util/rng.hh"
 
 using namespace dse;
@@ -83,7 +84,7 @@ BM_MemberSpreadScalar(benchmark::State &state)
     std::vector<double> spread(pool.size());
     for (auto _ : state) {
         for (size_t i = 0; i < pool.size(); ++i)
-            spread[i] = model.memberSpread(space.encodeIndex(pool[i]));
+            spread[i] = ml::memberSpread(model, space.encodeIndex(pool[i]));
         benchmark::DoNotOptimize(spread.data());
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <map>
 
 #include "bench/common.hh"
 #include "doe/plackett_burman.hh"
@@ -25,22 +26,32 @@ rankStudy(study::StudyKind kind, const std::string &app,
     const auto &space = ctx.space();
     const int factors = static_cast<int>(space.numParams());
 
-    // High/low settings = extreme levels of each parameter.
-    auto evaluate = [&](const std::vector<int8_t> &setting) {
+    // High/low settings = extreme levels of each parameter. Simulate
+    // every design row as one batch; pbScreen then looks rows up.
+    const auto design = doe::pbDesign(factors, /*foldover=*/true);
+    std::vector<uint64_t> rows;
+    for (const auto &setting : design) {
         std::vector<int> levels(space.numParams());
         for (size_t p = 0; p < space.numParams(); ++p) {
             levels[p] = setting[p] > 0
                 ? space.param(p).numLevels() - 1 : 0;
         }
-        return ctx.simulateIpc(space.index(levels));
-    };
-    const auto result = doe::pbScreen(factors, evaluate,
-                                      /*foldover=*/true);
+        rows.push_back(space.index(levels));
+    }
+    const auto ipc = ctx.simulateBatch(rows);
+    std::map<std::vector<int8_t>, double> response;
+    for (size_t r = 0; r < design.size(); ++r)
+        response.emplace(design[r], ipc[r]);
+    const auto result = doe::pbScreen(
+        factors,
+        [&](const std::vector<int8_t> &setting) {
+            return response.at(setting);
+        },
+        /*foldover=*/true);
 
     std::printf("\n== %s / %s: Plackett-Burman ranking (foldover, "
                 "%zu runs) ==\n",
-                app.c_str(), study::studyName(kind),
-                doe::pbDesign(factors, true).size());
+                app.c_str(), study::studyName(kind), design.size());
     Table t({"rank", "parameter", "effect_on_ipc"});
     for (size_t r = 0; r < result.ranking.size(); ++r) {
         const size_t f = result.ranking[r];

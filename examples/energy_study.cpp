@@ -70,7 +70,7 @@ main()
         }
     }
     const auto lv = space.levels(best_edp_idx);
-    const auto &r = ctx.simulateFull(best_edp_idx);
+    const sim::SimResult r = ctx.simulateFullBatch({best_edp_idx})[0];
     const auto energy = sim::computeEnergy(ctx.config(best_edp_idx), r);
     std::printf("\nbest predicted-EDP config (point %llu):\n",
                 static_cast<unsigned long long>(best_edp_idx));

@@ -49,13 +49,17 @@ main()
     std::printf("\npredicted IPC vs L2 size (other parameters "
                 "mid-range):\n");
     const size_t l2 = space.paramIndex("L2SizeKB");
+    std::vector<uint64_t> sweep;
     for (int lv = 0; lv < space.param(l2).numLevels(); ++lv) {
         auto levels = mid;
         levels[l2] = lv;
+        sweep.push_back(space.index(levels));
+    }
+    const auto sweep_ipc = ctx.simulateBatch(sweep);
+    for (size_t lv = 0; lv < sweep.size(); ++lv) {
         std::printf("  L2 %4.0f KB: predicted %.3f (simulated %.3f)\n",
-                    space.value(l2, lv),
-                    explorer.predictIndex(space.index(levels)),
-                    ctx.simulateIpc(space.index(levels)));
+                    space.value(l2, static_cast<int>(lv)),
+                    explorer.predictIndex(sweep[lv]), sweep_ipc[lv]);
     }
 
     // Question 2: best predicted configuration without a 2 MB L2.
@@ -73,7 +77,7 @@ main()
     }
     std::printf("\nbest predicted config without 2MB L2 "
                 "(predicted %.3f, simulated %.3f):\n",
-                best_ipc, ctx.simulateIpc(best_idx));
+                best_ipc, ctx.simulateBatch({best_idx})[0]);
     const auto lv = space.levels(best_idx);
     for (size_t p = 0; p < space.numParams(); ++p) {
         if (space.param(p).kind == ml::ParamKind::Nominal) {

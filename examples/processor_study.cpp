@@ -31,9 +31,10 @@ main()
     const size_t n = static_cast<size_t>(
         0.015 * static_cast<double>(space.size()));
     const auto sample = rng.sampleWithoutReplacement(space.size(), n);
+    const auto sample_ipc = ctx.simulateBatch(sample);
     ml::DataSet data;
-    for (uint64_t idx : sample)
-        data.add(space.encodeIndex(idx), ctx.simulateIpc(idx));
+    for (size_t i = 0; i < n; ++i)
+        data.add(space.encodeIndex(sample[i]), sample_ipc[i]);
 
     ml::TrainOptions train;
     train.maxEpochs = 5000;
@@ -49,17 +50,22 @@ main()
         ranked.emplace_back(model.predict(space.encodeIndex(i)), i);
     std::sort(ranked.rbegin(), ranked.rend());
 
+    // Verify the model's top 10 with one batch of detailed simulations.
+    std::vector<uint64_t> top;
+    for (size_t r = 0; r < 10; ++r)
+        top.push_back(ranked[r].second);
+    const auto top_ipc = ctx.simulateBatch(top);
+
     std::printf("\nmodel's top-10 configurations vs detailed "
                 "simulation:\n");
     std::printf("%-6s %-10s %-10s %s\n", "rank", "predicted",
                 "simulated", "config");
-    for (int r = 0; r < 10; ++r) {
-        const auto [pred, idx] = ranked[static_cast<size_t>(r)];
-        const double actual = ctx.simulateIpc(idx);
+    for (size_t r = 0; r < 10; ++r) {
+        const auto [pred, idx] = ranked[r];
         const auto lv = space.levels(idx);
-        std::printf("%-6d %-10.3f %-10.3f width=%g freq=%gGHz rob=%g "
+        std::printf("%-6zu %-10.3f %-10.3f width=%g freq=%gGHz rob=%g "
                     "l1d=%gKB l2=%gKB\n",
-                    r + 1, pred, actual,
+                    r + 1, pred, top_ipc[r],
                     space.valueOf("Width", lv),
                     space.valueOf("FreqGHz", lv),
                     space.valueOf("ROBSize", lv),
@@ -69,11 +75,8 @@ main()
 
     // How good is the model's #1 relative to the true best among the
     // top-10 predictions (the architect would simulate those few)?
-    double best_sim = 0.0;
-    for (int r = 0; r < 10; ++r)
-        best_sim = std::max(best_sim,
-                            ctx.simulateIpc(ranked[static_cast<size_t>(
-                                r)].second));
+    const double best_sim =
+        *std::max_element(top_ipc.begin(), top_ipc.end());
     std::printf("\nbest simulated IPC among model's top-10: %.3f\n",
                 best_sim);
     std::printf("simulations spent: %zu (sample) + 10 (verification) "

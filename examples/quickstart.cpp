@@ -68,11 +68,13 @@ main()
                     step.estimate.sdPct);
     }
 
-    // 4. Predict everywhere; verify one unsampled point.
-    for (uint64_t idx : {0ull, 20ull, 47ull}) {
+    // 4. Predict everywhere; verify a few points in one batch.
+    const std::vector<uint64_t> check = {0, 20, 47};
+    const auto simulated = simulate_batch(check);
+    for (size_t i = 0; i < check.size(); ++i) {
         std::printf("point %2llu: predicted IPC %.3f, simulated %.3f\n",
-                    static_cast<unsigned long long>(idx),
-                    explorer.predictIndex(idx), simulate_point(idx));
+                    static_cast<unsigned long long>(check[i]),
+                    explorer.predictIndex(check[i]), simulated[i]);
     }
     std::printf("\nsimulated %zu of %llu points (%.0f%%)\n",
                 explorer.sampledIndices().size(),

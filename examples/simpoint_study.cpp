@@ -37,9 +37,11 @@ main()
     const size_t n = static_cast<size_t>(
         0.015 * static_cast<double>(space.size()));
     const auto sample = rng.sampleWithoutReplacement(space.size(), n);
+    const auto estimates =
+        ctx.simulateBatch(sample, study::Fidelity::SimPoint);
     ml::DataSet noisy;
-    for (uint64_t idx : sample)
-        noisy.add(space.encodeIndex(idx), ctx.simulateSimPointIpc(idx));
+    for (size_t i = 0; i < n; ++i)
+        noisy.add(space.encodeIndex(sample[i]), estimates[i]);
 
     ml::TrainOptions train;
     train.maxEpochs = 5000;

@@ -260,15 +260,6 @@ Ensemble::memberWeights(size_t i) const
     return nets_.at(i).weights();
 }
 
-double
-Ensemble::memberSpread(const std::vector<double> &features) const
-{
-    OnlineStats acc;
-    for (const auto &net : nets_)
-        acc.add(scaler_.decode(net.predictScalar(features)));
-    return acc.stddev();
-}
-
 void
 Ensemble::memberSpreadBatch(const double *x, size_t n, double *out) const
 {
@@ -304,7 +295,7 @@ Ensemble::memberSpreadBatch(const double *x, size_t n, double *out) const
         // arithmetic (delta, mean += delta/count, m2 update — the
         // min/max bookkeeping stddev never reads is dropped) on the
         // members in nets_ order, so every point sees the exact
-        // decode/add sequence memberSpread() performs; laying the
+        // decode/add sequence a predictMember fold performs; laying the
         // state out across points just lets the member fold
         // vectorize instead of calling two out-of-line functions per
         // member prediction.

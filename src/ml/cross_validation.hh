@@ -166,20 +166,16 @@ class Ensemble
                          const std::vector<double> &features) const;
 
     /**
-     * Spread of member predictions on a point (sample SD, raw units).
-     * High disagreement flags uncertainty — the active-learning
-     * extension samples where this is largest.
-     */
-    double memberSpread(const std::vector<double> &features) const;
-
-    /**
-     * Batched member spread: @p x is row-major [n x inputs], @p out
-     * receives the n sample SDs. Each block of Ann::kBlock points is
-     * transposed once into a coordinate-major panel and reused across
-     * all members (the predictBatch treatment applied to scoring);
-     * per point the member predictions fold through OnlineStats in
-     * member order, so every value is bit-for-bit the memberSpread()
-     * result. Thread-safe on a const ensemble.
+     * Spread of member predictions (sample SD, raw units) on a batch:
+     * @p x is row-major [n x inputs], @p out receives the n SDs. High
+     * disagreement flags uncertainty — the active-learning extension
+     * samples where this is largest. Each block of Ann::kBlock points
+     * is transposed once into a coordinate-major panel and reused
+     * across all members (the predictBatch treatment applied to
+     * scoring); per point the member predictions fold through
+     * OnlineStats in member order, so every value is bit-for-bit a
+     * predictMember loop folded the same way. Thread-safe on a const
+     * ensemble.
      */
     void memberSpreadBatch(const double *x, size_t n, double *out) const;
 
@@ -189,8 +185,8 @@ class Ensemble
      * (odometer encodeRangeInto for consecutive runs, encodeIndexInto
      * otherwise) and scores them via memberSpreadBatch in parallel on
      * the global ThreadPool. Results are in input order and
-     * bit-identical to a memberSpread(space.encodeIndex(i)) loop at
-     * any thread count — the query-by-committee hot path.
+     * bit-identical to memberSpreadBatch over encodeIndex rows at any
+     * thread count — the query-by-committee hot path.
      */
     std::vector<double> memberSpreadIndices(
         const DesignSpace &space,

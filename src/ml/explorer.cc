@@ -46,18 +46,6 @@ struct ExploreMetrics
 
 } // namespace
 
-BatchSimulatorFn
-pointwise(std::function<double(uint64_t)> fn)
-{
-    return [fn = std::move(fn)](const std::vector<uint64_t> &indices) {
-        std::vector<double> out;
-        out.reserve(indices.size());
-        for (uint64_t idx : indices)
-            out.push_back(fn(idx));
-        return out;
-    };
-}
-
 Explorer::Explorer(const DesignSpace &space, BatchSimulatorFn simulator,
                    ExplorerOptions opts)
     : space_(space), simulator_(std::move(simulator)),
@@ -120,8 +108,8 @@ Explorer::pickBatch(size_t n)
             registry.add(em.scoreChunks,
                          (pool.size() + Ensemble::kScoreChunk - 1) /
                              Ensemble::kScoreChunk);
-            // Blocked committee scoring: bit-identical per point to
-            // memberSpread(space_.encodeIndex(i)) at any thread count.
+            // Blocked committee scoring: bit-identical per point at
+            // any thread count.
             spread = ensemble_->memberSpreadIndices(space_, pool);
         }
         std::vector<std::pair<double, uint64_t>> scored(pool.size());

@@ -13,9 +13,8 @@
  * batch, so the explorer is reusable for any metric, any simulator,
  * and any partial-simulation scheme (e.g. SimPoint estimates simply
  * make the function noisy), and the simulator decides how to run a
- * round: StudyContext::simulateBatch / simulateSimPointBatch on the
- * thread pool, RemoteDispatcher::simulateBatch across workers, or
- * ml::pointwise over a scalar function.
+ * round: StudyContext::simulateBatch (at either fidelity) on the
+ * thread pool, or RemoteDispatcher::simulateBatch across workers.
  */
 
 #ifndef DSE_ML_EXPLORER_HH
@@ -39,13 +38,6 @@ namespace ml {
  */
 using BatchSimulatorFn =
     std::function<std::vector<double>(const std::vector<uint64_t> &)>;
-
-/**
- * Adapt a scalar index -> value function (e.g. an analytic test
- * simulator) to a BatchSimulatorFn that evaluates it serially in
- * input order.
- */
-BatchSimulatorFn pointwise(std::function<double(uint64_t)> fn);
 
 /** Explorer configuration. */
 struct ExplorerOptions

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 #include "serve/client.hh"
 #include "util/env.hh"
@@ -222,19 +221,11 @@ std::vector<double>
 RemoteDispatcher::simulateBatch(const std::vector<uint64_t> &indices)
 {
     // Only missing points travel; duplicates collapse.
-    std::vector<uint64_t> todo;
-    if (active()) {
-        std::unordered_set<uint64_t> seen;
-        for (uint64_t idx : indices) {
-            if (!seen.insert(idx).second)
-                continue;
-            const bool have = opts_.simpoint
-                ? ctx_.hasSimPointEstimate(idx)
-                : ctx_.hasResult(idx);
-            if (!have)
-                todo.push_back(idx);
-        }
-    }
+    const auto fidelity = opts_.simpoint ? study::Fidelity::SimPoint
+                                         : study::Fidelity::Detailed;
+    const std::vector<uint64_t> todo =
+        active() ? ctx_.missing(indices, fidelity)
+                 : std::vector<uint64_t>{};
 
     std::vector<std::shared_ptr<Task>> tasks;
     for (size_t at = 0; at < todo.size(); at += opts_.batchPoints) {
@@ -280,8 +271,7 @@ RemoteDispatcher::simulateBatch(const std::vector<uint64_t> &indices)
     // hits, exhausted batches simulate locally here. Merging by index
     // makes the sourcing invisible — output order and values are those
     // of an all-local run.
-    return opts_.simpoint ? ctx_.simulateSimPointBatch(indices)
-                          : ctx_.simulateBatch(indices);
+    return ctx_.simulateBatch(indices, fidelity);
 }
 
 // must hold mu_

@@ -116,8 +116,8 @@ class RemoteDispatcher
      * workers, merge what comes back into the memo cache, then let the
      * context's own batch call resolve every index (remote where
      * possible, locally otherwise), in input order. Never throws on
-     * worker failure. Bit-identical to StudyContext::simulateBatch (or
-     * simulateSimPointBatch when DispatcherOptions::simpoint) at any
+     * worker failure. Bit-identical to StudyContext::simulateBatch (at
+     * SimPoint fidelity when DispatcherOptions::simpoint) at any
      * topology, including every worker dead or none configured. This
      * is the ml::BatchSimulatorFn a remote exploration runs on.
      */

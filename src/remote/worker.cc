@@ -116,7 +116,8 @@ SimWorker::handle(const serve::SimulateBatchRequest &req,
         }
         reply.simpoint = req.simpoint;
         if (req.simpoint)
-            reply.ipc = ctx->simulateSimPointBatch(req.indices);
+            reply.ipc = ctx->simulateBatch(req.indices,
+                                           study::Fidelity::SimPoint);
         else
             reply.results = ctx->simulateFullBatch(req.indices);
     } catch (const std::exception &e) {

@@ -22,9 +22,10 @@ namespace study {
 namespace {
 
 /** Simulation-stage metrics (DESIGN.md "Observability"): every
- *  simulateFull call is a request that resolves as either a memo hit
- *  or an executed simulation, so sim.memo_hits + sim.executed ==
- *  sim.requests whenever no fault injection interferes. */
+ *  distinct point of a detailed batch is a request that resolves as
+ *  either a memo hit or an executed simulation, so sim.memo_hits +
+ *  sim.executed == sim.requests whenever no fault injection
+ *  interferes. */
 struct SimMetrics
 {
     obs::CounterId requests, memoHits, executed;
@@ -76,11 +77,12 @@ resolveJournalPath(const std::string &explicit_path, StudyKind kind,
 }
 
 /**
- * The batch-simulation fan-out shared by every StudyContext batch
- * entry point: each distinct index of @p indices is resolved exactly
- * once — one counted memo lookup, or one execution — concurrently on
- * the global ThreadPool, and its value is copied to every position it
- * occupies, in input order. Duplicates cost nothing extra.
+ * The batch-simulation fan-out behind every StudyContext batch call:
+ * each distinct index of @p indices is resolved exactly once — one
+ * counted memo lookup, or one execution — concurrently on the global
+ * ThreadPool (a lone one on the caller, without building the pool),
+ * and its value is copied to every position it occupies, in input
+ * order. Duplicates cost nothing extra.
  */
 template <typename T, typename Resolve>
 std::vector<T>
@@ -99,9 +101,14 @@ resolveDistinct(const std::vector<uint64_t> &indices,
     }
 
     std::vector<T> values(distinct.size());
-    util::ThreadPool::global().parallelFor(
-        0, distinct.size(),
-        [&](size_t i) { values[i] = resolve(distinct[i]); });
+    const auto resolveAt = [&](size_t i) {
+        values[i] = resolve(distinct[i]);
+    };
+    if (distinct.size() == 1)
+        resolveAt(0);
+    else
+        util::ThreadPool::global().parallelFor(0, distinct.size(),
+                                               resolveAt);
 
     std::vector<T> out;
     out.reserve(indices.size());
@@ -123,35 +130,39 @@ StudyContext::StudyContext(StudyKind kind, const std::string &app,
         return;
     journal_ = std::make_unique<SimJournal>(path, kind_, app_,
                                             trace_.size());
-    journalStats_ =
-        journal_->replay([this](uint64_t index,
-                                const sim::SimResult &result) {
-            auto &shard = shardFor(cache_, index);
-            std::lock_guard<std::mutex> lock(shard.mu);
-            shard.map.emplace(index, result);
+    journalStats_ = journal_->replay(
+        [this](uint64_t index, const sim::SimResult &result) {
+            detailed_.insert(index, result);
         });
 }
 
 const sim::SimResult &
-StudyContext::simulateFull(uint64_t index)
+StudyContext::memoizeResult(uint64_t index, sim::SimResult result)
+{
+    // Journal only the winning insert (a lost duplicate is identical
+    // anyway), under the shard lock so appends for one shard stay
+    // ordered. Remote results journal too: they are real results.
+    return detailed_.insert(index, std::move(result),
+                            [&](const sim::SimResult &r) {
+                                if (journal_)
+                                    journal_->append(index, r);
+                            });
+}
+
+const sim::SimResult &
+StudyContext::resolveDetailed(uint64_t index)
 {
     const auto &sm = SimMetrics::get();
     auto &registry = obs::MetricsRegistry::global();
     registry.add(sm.requests);
-    auto &shard = shardFor(cache_, index);
-    {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        auto it = shard.map.find(index);
-        if (it != shard.map.end()) {
-            registry.add(sm.memoHits);
-            return it->second;
-        }
+    if (const auto *hit = detailed_.find(index)) {
+        registry.add(sm.memoHits);
+        return *hit;
     }
 
     if (util::FaultInjector::global().shouldFail("sim", index)) {
-        throw std::runtime_error(
-            "injected fault: simulateFull(" + std::to_string(index) +
-            ")");
+        throw std::runtime_error("injected fault: simulate(" +
+                                 std::to_string(index) + ")");
     }
 
     // Simulate outside the lock: concurrent callers may duplicate the
@@ -166,58 +177,60 @@ StudyContext::simulateFull(uint64_t index)
     }
     registry.add(sm.executed);
     executed_.fetch_add(1, std::memory_order_relaxed);
-
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.emplace(index, std::move(*result));
-    // Journal only the winning insert (a lost duplicate is identical
-    // anyway), under the shard lock so the record matches the cached
-    // value and appends for one shard stay ordered.
-    if (inserted && journal_)
-        journal_->append(index, it->second);
-    return it->second;
-}
-
-double
-StudyContext::simulateIpc(uint64_t index)
-{
-    return simulateFull(index).ipc;
-}
-
-size_t
-StudyContext::simulationsRun() const
-{
-    size_t n = 0;
-    for (const auto &shard : cache_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        n += shard.map.size();
-    }
-    return n;
+    return memoizeResult(index, std::move(*result));
 }
 
 std::vector<sim::SimResult>
 StudyContext::simulateFullBatch(const std::vector<uint64_t> &indices)
 {
     return resolveDistinct<sim::SimResult>(
-        indices, [this](uint64_t idx) { return simulateFull(idx); });
+        indices, [this](uint64_t idx) { return resolveDetailed(idx); });
 }
 
 std::vector<double>
-StudyContext::simulateBatch(const std::vector<uint64_t> &indices)
+StudyContext::simulateBatch(const std::vector<uint64_t> &indices,
+                            Fidelity fidelity)
 {
-    return resolveDistinct<double>(
-        indices, [this](uint64_t idx) { return simulateFull(idx).ipc; });
-}
-
-std::vector<double>
-StudyContext::simulateSimPointBatch(const std::vector<uint64_t> &indices)
-{
-    // Resolve the SimPoint selection and calibration up front so the
+    if (fidelity == Fidelity::Detailed) {
+        return resolveDistinct<double>(indices, [this](uint64_t idx) {
+            return resolveDetailed(idx).ipc;
+        });
+    }
+    // Calibrate up front (which also selects the SimPoints), so the
     // parallel region only reads them.
-    simPoints();
-    simPointScale();
-    return resolveDistinct<double>(indices, [this](uint64_t idx) {
-        return simulateSimPointIpc(idx);
+    const double scale = simPointScale();
+    return resolveDistinct<double>(indices, [this, scale](uint64_t idx) {
+        const auto &sm = SimMetrics::get();
+        auto &registry = obs::MetricsRegistry::global();
+        registry.add(sm.spRequests);
+        if (const double *hit = simPoint_.find(idx)) {
+            registry.add(sm.spMemoHits);
+            return *hit;
+        }
+        std::optional<simpoint::SimPointEstimate> est;
+        {
+            obs::TraceScope span("simpoint", sm.spWallNs);
+            est = simpoint::estimateIpc(trace_, config(idx), simPoints());
+        }
+        registry.add(sm.spEstimates);
+        return simPoint_.insert(idx, est->ipc * scale);
     });
+}
+
+std::vector<uint64_t>
+StudyContext::missing(const std::vector<uint64_t> &indices,
+                      Fidelity fidelity) const
+{
+    std::unordered_set<uint64_t> seen;
+    std::vector<uint64_t> out;
+    for (uint64_t idx : indices) {
+        const bool have = fidelity == Fidelity::Detailed
+            ? detailed_.find(idx) != nullptr
+            : simPoint_.find(idx) != nullptr;
+        if (!have && seen.insert(idx).second)
+            out.push_back(idx);
+    }
+    return out;
 }
 
 sim::MachineConfig
@@ -229,37 +242,13 @@ StudyContext::config(uint64_t index) const
 void
 StudyContext::injectResult(uint64_t index, const sim::SimResult &result)
 {
-    auto &shard = shardFor(cache_, index);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.emplace(index, result);
-    // Journal the winning insert exactly like a local simulation —
-    // the journal records results, not where they were computed.
-    if (inserted && journal_)
-        journal_->append(index, it->second);
+    memoizeResult(index, result);
 }
 
 void
 StudyContext::injectSimPointEstimate(uint64_t index, double ipc)
 {
-    auto &shard = shardFor(simPointCache_, index);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.emplace(index, ipc);
-}
-
-bool
-StudyContext::hasResult(uint64_t index) const
-{
-    const auto &shard = shardFor(cache_, index);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.count(index) != 0;
-}
-
-bool
-StudyContext::hasSimPointEstimate(uint64_t index) const
-{
-    const auto &shard = shardFor(simPointCache_, index);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.count(index) != 0;
+    simPoint_.insert(index, ipc);
 }
 
 const simpoint::SimPoints &
@@ -293,7 +282,7 @@ StudyContext::simPointScale()
     // outside the lock (both inputs are deterministic, so concurrent
     // calibrations agree and the first store wins harmlessly).
     const uint64_t ref = space_.size() / 2;
-    const double full = simulateFull(ref).ipc;
+    const double full = resolveDetailed(ref).ipc;
     const double raw =
         simpoint::estimateIpc(trace_, config(ref), simPoints()).ipc;
     const double scale = raw > 0.0 ? full / raw : 1.0;
@@ -302,33 +291,6 @@ StudyContext::simPointScale()
     if (simPointScale_ == 0.0)
         simPointScale_ = scale;
     return simPointScale_;
-}
-
-double
-StudyContext::simulateSimPointIpc(uint64_t index)
-{
-    const auto &sm = SimMetrics::get();
-    auto &registry = obs::MetricsRegistry::global();
-    registry.add(sm.spRequests);
-    const double scale = simPointScale();
-    auto &shard = shardFor(simPointCache_, index);
-    {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        auto it = shard.map.find(index);
-        if (it != shard.map.end()) {
-            registry.add(sm.spMemoHits);
-            return it->second;
-        }
-    }
-    std::optional<simpoint::SimPointEstimate> est;
-    {
-        obs::TraceScope span("simpoint", sm.spWallNs);
-        est = simpoint::estimateIpc(trace_, config(index), simPoints());
-    }
-    registry.add(sm.spEstimates);
-    const double calibrated = est->ipc * scale;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.emplace(index, calibrated).first->second;
 }
 
 std::vector<uint64_t>

@@ -12,6 +12,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -30,6 +31,19 @@ namespace dse {
 namespace study {
 
 /**
+ * How a design point is simulated. A SimPoint estimate (Section 5.3)
+ * simulates only the application's representative intervals, and is
+ * calibrated once per application against one full simulation of a
+ * reference configuration, which removes the constant bias a fixed
+ * interval choice carries on short traces.
+ */
+enum class Fidelity
+{
+    Detailed,
+    SimPoint,
+};
+
+/**
  * One (study, application) pair: the design space, the application's
  * trace, and a memoized simulator keyed by design-point index.
  *
@@ -37,12 +51,15 @@ namespace study {
  * SimOptions::warmCaches) so short synthetic traces behave like the
  * paper's long MinneSPEC runs.
  *
+ * Simulation has one entry point per fidelity, and every caller
+ * batches: simulateBatch (IPC) and simulateFullBatch (detailed
+ * SimResult records).
+ *
  * Thread safety: the memoization caches are sharded by index with one
- * mutex per shard, so simulateFull/simulateIpc/simulateSimPointIpc
- * (and the batch variants, which fan out on the global ThreadPool)
- * may be called concurrently. Simulation itself is a pure function of
- * (trace, config), so concurrent evaluation is bit-identical to
- * serial regardless of thread count or interleaving.
+ * mutex per shard, so the batch calls may be called concurrently.
+ * Simulation itself is a pure function of (trace, config), so
+ * concurrent evaluation is bit-identical to serial regardless of
+ * thread count or interleaving.
  *
  * Crash safety: with a journal attached (explicit path, or the
  * DSE_JOURNAL environment variable — "{study}" and "{app}"
@@ -73,27 +90,30 @@ class StudyContext
     const std::string &app() const { return app_; }
     const workload::Trace &trace() const { return trace_; }
 
-    /** Full detailed simulation of one design point (memoized). */
-    const sim::SimResult &simulateFull(uint64_t index);
-
-    /** IPC of one design point (memoized full simulation). */
-    double simulateIpc(uint64_t index);
-
     /**
-     * Simulate a batch of design points concurrently on the global
-     * ThreadPool. Each distinct index costs one simulateFull call (a
-     * memo hit or one execution); duplicates cost nothing extra.
-     * @return the IPC of each input index, in input order
+     * Simulate a batch of design points; @return each one's IPC, in
+     * input order. Distinct points resolve concurrently on the global
+     * ThreadPool, each as one memo lookup or one execution; duplicates
+     * cost nothing extra. A lone distinct point resolves on the
+     * calling thread without touching the pool.
      */
-    std::vector<double> simulateBatch(const std::vector<uint64_t> &indices);
+    std::vector<double>
+    simulateBatch(const std::vector<uint64_t> &indices,
+                  Fidelity fidelity = Fidelity::Detailed);
 
-    /** simulateBatch returning each point's full detailed result. */
+    /** Detailed simulateBatch returning each point's full result. */
     std::vector<sim::SimResult>
     simulateFullBatch(const std::vector<uint64_t> &indices);
 
-    /** SimPoint-estimate analogue of simulateBatch (Section 5.3). */
-    std::vector<double>
-    simulateSimPointBatch(const std::vector<uint64_t> &indices);
+    /** Batch-of-one wrappers, kept for the layer probe
+     *  (perfbench/probe), which times serial per-point simulation
+     *  against simulateBatch. Every other caller batches. */
+    double simulateIpc(uint64_t i) { return simulateBatch({i})[0]; }
+    double
+    simulateSimPointIpc(uint64_t i)
+    {
+        return simulateBatch({i}, Fidelity::SimPoint)[0];
+    }
 
     /** Machine configuration of a design point. */
     sim::MachineConfig config(uint64_t index) const;
@@ -116,17 +136,17 @@ class StudyContext
     /** Merge a remotely computed calibrated SimPoint IPC estimate. */
     void injectSimPointEstimate(uint64_t index, double ipc);
 
-    /** True if a detailed result for @p index is memoized. */
-    bool hasResult(uint64_t index) const;
-
-    /** True if a SimPoint estimate for @p index is memoized. */
-    bool hasSimPointEstimate(uint64_t index) const;
+    /** The distinct indices of @p indices with no memoized value at
+     *  @p fidelity, in first-occurrence order: what a remote
+     *  dispatch still has to fetch. */
+    std::vector<uint64_t> missing(const std::vector<uint64_t> &indices,
+                                  Fidelity fidelity) const;
 
     /// @}
 
     /** Number of distinct detailed simulations performed so far
      *  (memoized results, including any replayed from a journal). */
-    size_t simulationsRun() const;
+    size_t simulationsRun() const { return detailed_.size(); }
 
     /** Detailed simulations actually *executed* by this context —
      *  excludes journal-replayed results, so a resumed study reports
@@ -154,20 +174,6 @@ class StudyContext
      */
     const simpoint::SimPoints &simPoints();
 
-    /**
-     * SimPoint *estimate* of a design point's IPC: only the
-     * representative intervals are simulated in detail (memoized).
-     * This is the noisy-but-cheap signal the ANN+SimPoint study
-     * trains on (Section 5.3).
-     *
-     * Estimates are calibrated once per application against a single
-     * full simulation of a reference configuration, which removes
-     * the constant bias a fixed representative-interval choice
-     * carries on short traces. The calibration cost (one detailed
-     * simulation) is amortized over the whole exploration.
-     */
-    double simulateSimPointIpc(uint64_t index);
-
     /** Detailed instructions per SimPoint estimate (including the
      *  half-interval detailed warm-up each representative pays). */
     size_t
@@ -179,32 +185,65 @@ class StudyContext
     }
 
   private:
-    /** Mutex-sharded memoization map (values are never mutated after
-     *  insertion, and unordered_map never invalidates references, so
-     *  returned references stay valid under concurrent inserts). */
+    /** Memo keyed by design-point index: 16 mutex-guarded shards.
+     *  Values are never mutated after insertion, and unordered_map
+     *  never invalidates references, so a returned reference stays
+     *  valid under concurrent inserts. */
     template <typename V>
-    struct CacheShard
+    class Memo
     {
-        mutable std::mutex mu;
-        std::unordered_map<uint64_t, V> map;
+      public:
+        /** The memoized value of @p index, or nullptr. */
+        const V *
+        find(uint64_t index) const
+        {
+            Shard &s = shards_[index % shards_.size()];
+            std::lock_guard<std::mutex> lock(s.mu);
+            const auto it = s.map.find(index);
+            return it == s.map.end() ? nullptr : &it->second;
+        }
+
+        /** Memoize @p value unless @p index has one; return the
+         *  memoized value. @p onInsert runs for the winning insert
+         *  only, under the shard lock. */
+        const V &
+        insert(uint64_t index, V value,
+               const std::function<void(const V &)> &onInsert = nullptr)
+        {
+            Shard &s = shards_[index % shards_.size()];
+            std::lock_guard<std::mutex> lock(s.mu);
+            const auto [it, fresh] = s.map.emplace(index, std::move(value));
+            if (fresh && onInsert)
+                onInsert(it->second);
+            return it->second;
+        }
+
+        size_t
+        size() const
+        {
+            size_t n = 0;
+            for (Shard &s : shards_) {
+                std::lock_guard<std::mutex> lock(s.mu);
+                n += s.map.size();
+            }
+            return n;
+        }
+
+      private:
+        struct Shard
+        {
+            std::mutex mu;
+            std::unordered_map<uint64_t, V> map;
+        };
+        mutable std::array<Shard, 16> shards_;
     };
-    static constexpr size_t kCacheShards = 16;
 
-    template <typename V>
-    static CacheShard<V> &
-    shardFor(std::array<CacheShard<V>, kCacheShards> &shards,
-             uint64_t index)
-    {
-        return shards[index % kCacheShards];
-    }
+    /** One detailed point: a counted memo hit or one execution. */
+    const sim::SimResult &resolveDetailed(uint64_t index);
 
-    template <typename V>
-    static const CacheShard<V> &
-    shardFor(const std::array<CacheShard<V>, kCacheShards> &shards,
-             uint64_t index)
-    {
-        return shards[index % kCacheShards];
-    }
+    /** Memoize a detailed result, journaling the winning insert. */
+    const sim::SimResult &memoizeResult(uint64_t index,
+                                        sim::SimResult result);
 
     /** Calibrate (once) and return the SimPoint IPC scale factor. */
     double simPointScale();
@@ -213,8 +252,8 @@ class StudyContext
     std::string app_;
     ml::DesignSpace space_;
     workload::Trace trace_;
-    std::array<CacheShard<sim::SimResult>, kCacheShards> cache_;
-    std::array<CacheShard<double>, kCacheShards> simPointCache_;
+    Memo<sim::SimResult> detailed_;
+    Memo<double> simPoint_;
     std::mutex simPointMu_;  ///< guards simPoints_ / simPointScale_
     std::unique_ptr<simpoint::SimPoints> simPoints_;
     double simPointScale_ = 0.0;  ///< lazily calibrated; 0 = not yet

@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "ml/cross_validation.hh"
+#include "oracles.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 
@@ -108,7 +109,7 @@ TEST(CrossValidation, MemberSpreadNonNegative)
     auto opts = fastOptions();
     opts.maxEpochs = 200;
     const auto model = trainEnsemble(data, opts);
-    EXPECT_GE(model.memberSpread({0.5, 0.5, 0.5}), 0.0);
+    EXPECT_GE(memberSpread(model, {0.5, 0.5, 0.5}), 0.0);
 }
 
 TEST(CrossValidation, DeterministicForSeed)

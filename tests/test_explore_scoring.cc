@@ -5,9 +5,9 @@
  * deterministic top-k selection in Explorer::pickBatch, and the
  * streaming Explorer::predictRange must all be bit-identical to
  * their scalar counterparts — per point, at any thread count, and
- * across dispatch topologies. The scalar memberSpread() is the
- * oracle throughout (it predates the blocked kernel and its member
- * predictions are pinned to predictScalar by the parity suite).
+ * across dispatch topologies. The scalar ml::memberSpread in
+ * oracles.hh is the reference throughout (a predictMember fold; its
+ * member predictions are pinned to predictScalar by the parity suite).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ml/explorer.hh"
+#include "oracles.hh"
 #include "util/thread_pool.hh"
 
 namespace dse {
@@ -102,7 +103,7 @@ TEST(ExplorerScoring, MemberSpreadBatchMatchesScalarPerPoint)
     for (size_t r = 0; r < n; ++r) {
         const std::vector<double> row(x.begin() + r * width,
                                       x.begin() + (r + 1) * width);
-        EXPECT_EQ(batched[r], model.memberSpread(row)) << "point " << r;
+        EXPECT_EQ(batched[r], ml::memberSpread(model, row)) << "point " << r;
     }
 }
 
@@ -143,7 +144,7 @@ TEST(ExplorerScoring, MemberSpreadBatchMatchesScalarAcrossTopologies)
         for (size_t r = 0; r < n; ++r) {
             const std::vector<double> row(x.begin() + r * width,
                                           x.begin() + (r + 1) * width);
-            EXPECT_EQ(batched[r], model.memberSpread(row))
+            EXPECT_EQ(batched[r], ml::memberSpread(model, row))
                 << "hidden=" << shape.hidden
                 << " layers=" << shape.layers
                 << " outputs=" << shape.outputs << " point " << r;
@@ -174,7 +175,7 @@ TEST(ParallelScoring, MemberSpreadIndicesBitIdenticalAcrossThreadCounts)
         std::vector<double> oracle(indices.size());
         for (size_t i = 0; i < indices.size(); ++i)
             oracle[i] =
-                model.memberSpread(space.encodeIndex(indices[i]));
+                ml::memberSpread(model, space.encodeIndex(indices[i]));
 
         for (size_t threads : kThreadCounts) {
             PoolGuard guard(threads);

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "ml/explorer.hh"
+#include "oracles.hh"
 
 namespace dse {
 namespace ml {

@@ -149,7 +149,7 @@ TEST_F(FaultsJournal, KillAndResumeReplaysBitIdentical)
         ASSERT_TRUE(ctx.journalActive());
         EXPECT_EQ(ctx.journalStats().replayed, 0u);
         for (uint64_t idx : indices)
-            first.push_back(ctx.simulateFull(idx));
+            first.push_back(ctx.simulateFullBatch({idx})[0]);
         EXPECT_EQ(ctx.simulationsExecuted(), indices.size());
     }
 
@@ -164,7 +164,7 @@ TEST_F(FaultsJournal, KillAndResumeReplaysBitIdentical)
     const auto ipc = ctx.simulateBatch(indices);
     EXPECT_EQ(ctx.simulationsExecuted(), 0u);
     for (size_t i = 0; i < indices.size(); ++i) {
-        const auto &r = ctx.simulateFull(indices[i]);
+        const sim::SimResult r = ctx.simulateFullBatch({indices[i]})[0];
         const auto &f = first[i];
         EXPECT_EQ(ipc[i], f.ipc);
         EXPECT_EQ(r.cycles, f.cycles);
@@ -194,7 +194,7 @@ TEST_F(FaultsJournal, ToleratesTornTailAndRepairsIt)
         study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
                                 kTraceLen, path);
         for (uint64_t idx : indices)
-            last_ipc = ctx.simulateFull(idx).ipc;
+            last_ipc = ctx.simulateBatch({idx})[0];
     }
 
     // Tear the tail: drop the last 10 bytes, as a crash mid-append
@@ -209,7 +209,7 @@ TEST_F(FaultsJournal, ToleratesTornTailAndRepairsIt)
         EXPECT_EQ(ctx.journalStats().replayed, indices.size() - 1);
         EXPECT_TRUE(ctx.journalStats().tornTail);
         // The torn point re-simulates (once) and re-journals.
-        EXPECT_EQ(ctx.simulateFull(5).ipc, last_ipc);
+        EXPECT_EQ(ctx.simulateBatch({5})[0], last_ipc);
         EXPECT_EQ(ctx.simulationsExecuted(), 1u);
     }
 
@@ -229,7 +229,7 @@ TEST_F(FaultsJournal, RejectsChecksumCorruptRecordButKeepsTheRest)
         study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
                                 kTraceLen, path);
         for (uint64_t idx : indices)
-            ipc.push_back(ctx.simulateFull(idx).ipc);
+            ipc.push_back(ctx.simulateBatch({idx})[0]);
     }
 
     // Flip one byte inside the second record's payload.
@@ -245,9 +245,9 @@ TEST_F(FaultsJournal, RejectsChecksumCorruptRecordButKeepsTheRest)
     EXPECT_EQ(ctx.journalStats().rejected, 1u);
     // Records after the corrupt one still replayed (fixed-size
     // resync), and the rejected point re-simulates to the same value.
-    EXPECT_EQ(ctx.simulateFull(30).ipc, ipc[2]);
+    EXPECT_EQ(ctx.simulateBatch({30})[0], ipc[2]);
     EXPECT_EQ(ctx.simulationsExecuted(), 0u);
-    EXPECT_EQ(ctx.simulateFull(20).ipc, ipc[1]);
+    EXPECT_EQ(ctx.simulateBatch({20})[0], ipc[1]);
     EXPECT_EQ(ctx.simulationsExecuted(), 1u);
 }
 
@@ -285,7 +285,7 @@ TEST_F(FaultsJournal, EnvVarAttachesWithPlaceholders)
         study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
                                 kTraceLen);
         EXPECT_TRUE(ctx.journalActive());
-        ctx.simulateFull(3);
+        ctx.simulateBatch({3});
     }
     unsetenv("DSE_JOURNAL");
     EXPECT_EQ(::access(expanded.c_str(), F_OK), 0);
@@ -303,7 +303,7 @@ TEST_F(FaultsJournal, InjectedTornAppendIsRecoveredOnResume)
     {
         study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
                                 kTraceLen, path);
-        EXPECT_THROW(ctx.simulateFull(9), std::runtime_error);
+        EXPECT_THROW(ctx.simulateBatch({9}), std::runtime_error);
     }
     util::FaultInjector::global().reset();
 
@@ -313,7 +313,7 @@ TEST_F(FaultsJournal, InjectedTornAppendIsRecoveredOnResume)
                             kTraceLen, path);
     EXPECT_EQ(ctx.journalStats().replayed, 0u);
     EXPECT_TRUE(ctx.journalStats().tornTail);
-    EXPECT_GT(ctx.simulateFull(9).ipc, 0.0);
+    EXPECT_GT(ctx.simulateBatch({9})[0], 0.0);
     EXPECT_EQ(ctx.simulationsExecuted(), 1u);
 }
 
@@ -322,15 +322,16 @@ TEST_F(FaultsJournal, InjectedSimFailurePropagatesAndRecovers)
     util::FaultInjector::global().configure("sim:1:1");
     study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
                             kTraceLen);
-    // Both the direct path and the thread-pool batch path surface the
-    // failure as an exception (no std::terminate, no hang).
-    EXPECT_THROW(ctx.simulateFull(5), std::runtime_error);
+    // Both a batch of one (resolved on the calling thread) and a
+    // pooled batch surface the failure as an exception (no
+    // std::terminate, no hang).
+    EXPECT_THROW(ctx.simulateBatch({5}), std::runtime_error);
     EXPECT_THROW(ctx.simulateBatch({1, 2, 3, 4, 5, 6, 7, 8}),
                  std::runtime_error);
     EXPECT_EQ(ctx.simulationsExecuted(), 0u);
 
     util::FaultInjector::global().reset();
-    EXPECT_GT(ctx.simulateFull(5).ipc, 0.0);
+    EXPECT_GT(ctx.simulateBatch({5})[0], 0.0);
     EXPECT_EQ(ctx.simulationsExecuted(), 1u);
 }
 

@@ -25,12 +25,14 @@ TEST(Fuzz, RandomMemoryStudyPointsAlwaysComplete)
     study::StudyContext ctx(study::StudyKind::MemorySystem, "twolf",
                             8192);
     Rng rng(0xfeed);
-    for (int i = 0; i < 40; ++i) {
-        const uint64_t idx = rng.below(ctx.space().size());
-        const auto &r = ctx.simulateFull(idx);
-        EXPECT_EQ(r.instructions, 8192u) << idx;
-        EXPECT_GT(r.ipc, 0.0) << idx;
-        EXPECT_LE(r.ipc, 8.0) << idx;
+    std::vector<uint64_t> points;
+    for (int i = 0; i < 40; ++i)
+        points.push_back(rng.below(ctx.space().size()));
+    const auto results = ctx.simulateFullBatch(points);
+    for (size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(results[i].instructions, 8192u) << points[i];
+        EXPECT_GT(results[i].ipc, 0.0) << points[i];
+        EXPECT_LE(results[i].ipc, 8.0) << points[i];
     }
 }
 
@@ -39,12 +41,14 @@ TEST(Fuzz, RandomProcessorStudyPointsAlwaysComplete)
     study::StudyContext ctx(study::StudyKind::Processor, "equake",
                             8192);
     Rng rng(0xbeef);
-    for (int i = 0; i < 40; ++i) {
-        const uint64_t idx = rng.below(ctx.space().size());
-        const auto &r = ctx.simulateFull(idx);
-        EXPECT_EQ(r.instructions, 8192u) << idx;
-        EXPECT_GT(r.ipc, 0.0) << idx;
-        EXPECT_LE(r.ipc, 8.0) << idx;
+    std::vector<uint64_t> points;
+    for (int i = 0; i < 40; ++i)
+        points.push_back(rng.below(ctx.space().size()));
+    const auto results = ctx.simulateFullBatch(points);
+    for (size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(results[i].instructions, 8192u) << points[i];
+        EXPECT_GT(results[i].ipc, 0.0) << points[i];
+        EXPECT_LE(results[i].ipc, 8.0) << points[i];
     }
 }
 
@@ -54,12 +58,10 @@ TEST(Fuzz, ExtremeCornersOfBothSpaces)
                       study::StudyKind::Processor}) {
         study::StudyContext ctx(kind, "mcf", 8192);
         // First, last, and the all-max/all-min corners.
-        const uint64_t corners[] = {0, ctx.space().size() - 1,
-                                    ctx.space().size() / 2};
-        for (uint64_t idx : corners) {
-            const auto &r = ctx.simulateFull(idx);
+        const std::vector<uint64_t> corners = {
+            0, ctx.space().size() - 1, ctx.space().size() / 2};
+        for (const sim::SimResult &r : ctx.simulateFullBatch(corners))
             EXPECT_GT(r.ipc, 0.0);
-        }
     }
 }
 
@@ -122,7 +124,7 @@ TEST(Fuzz, SimulateBatchRandomSizesAndDuplicates)
         ASSERT_EQ(ipcs.size(), batch.size());
         for (size_t i = 0; i < batch.size(); ++i) {
             EXPECT_GT(ipcs[i], 0.0);
-            EXPECT_EQ(ipcs[i], ctx.simulateIpc(batch[i]));
+            EXPECT_EQ(ipcs[i], ctx.simulateBatch({batch[i]})[0]);
             unique.insert(batch[i]);
         }
         EXPECT_EQ(ctx.simulationsRun(), unique.size());

@@ -14,6 +14,7 @@
 
 #include "ml/cross_validation.hh"
 #include "ml/explorer.hh"
+#include "oracles.hh"
 #include "study/harness.hh"
 #include "util/rng.hh"
 
@@ -24,21 +25,21 @@ TEST(Golden, MemorySystemGzipIpc)
 {
     study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
                             8192);
-    EXPECT_NEAR(ctx.simulateIpc(100), 0.29359902515948677, 1e-9);
+    EXPECT_NEAR(ctx.simulateBatch({100})[0], 0.29359902515948677, 1e-9);
 }
 
 TEST(Golden, MemorySystemMcfIpc)
 {
     study::StudyContext ctx(study::StudyKind::MemorySystem, "mcf",
                             8192);
-    EXPECT_NEAR(ctx.simulateIpc(12345), 0.10456315016912375, 1e-9);
+    EXPECT_NEAR(ctx.simulateBatch({12345})[0], 0.10456315016912375, 1e-9);
 }
 
 TEST(Golden, ProcessorEquakeIpc)
 {
     study::StudyContext ctx(study::StudyKind::Processor, "equake",
                             8192);
-    EXPECT_NEAR(ctx.simulateIpc(777), 0.30537538209200032, 1e-9);
+    EXPECT_NEAR(ctx.simulateBatch({777})[0], 0.30537538209200032, 1e-9);
 }
 
 TEST(Golden, SmallEnsembleEstimate)

@@ -27,6 +27,18 @@ integrationTrainOptions()
     return opts;
 }
 
+/** One batch of simulations of @p indices as a training set. */
+ml::DataSet
+simulatedData(study::StudyContext &ctx, const std::vector<uint64_t> &indices,
+              study::Fidelity fidelity = study::Fidelity::Detailed)
+{
+    const auto targets = ctx.simulateBatch(indices, fidelity);
+    ml::DataSet data;
+    for (size_t i = 0; i < indices.size(); ++i)
+        data.add(ctx.space().encodeIndex(indices[i]), targets[i]);
+    return data;
+}
+
 TEST(Integration, MemoryStudyModelBeatsMeanPredictor)
 {
     study::StudyContext ctx(study::StudyKind::MemorySystem, "mesa",
@@ -34,9 +46,7 @@ TEST(Integration, MemoryStudyModelBeatsMeanPredictor)
     Rng rng(42);
     const auto train_idx =
         rng.sampleWithoutReplacement(ctx.space().size(), 300);
-    ml::DataSet data;
-    for (uint64_t idx : train_idx)
-        data.add(ctx.space().encodeIndex(idx), ctx.simulateIpc(idx));
+    const auto data = simulatedData(ctx, train_idx);
 
     const auto model = ml::trainEnsemble(data, integrationTrainOptions());
     const auto eval = study::holdoutIndices(ctx.space(), train_idx,
@@ -46,8 +56,8 @@ TEST(Integration, MemoryStudyModelBeatsMeanPredictor)
     // Mean-predictor baseline.
     const double y_mean = mean(data.y);
     double mean_err = 0.0;
-    for (uint64_t idx : eval)
-        mean_err += percentageError(y_mean, ctx.simulateIpc(idx));
+    for (double truth : ctx.simulateBatch(eval))
+        mean_err += percentageError(y_mean, truth);
     mean_err /= static_cast<double>(eval.size());
 
     EXPECT_LT(err.meanPct, mean_err * 0.6)
@@ -61,9 +71,7 @@ TEST(Integration, ErrorEstimateTracksTruth)
     Rng rng(43);
     const auto train_idx =
         rng.sampleWithoutReplacement(ctx.space().size(), 300);
-    ml::DataSet data;
-    for (uint64_t idx : train_idx)
-        data.add(ctx.space().encodeIndex(idx), ctx.simulateIpc(idx));
+    const auto data = simulatedData(ctx, train_idx);
 
     const auto model = ml::trainEnsemble(data, integrationTrainOptions());
     const auto eval = study::holdoutIndices(ctx.space(), train_idx,
@@ -107,10 +115,8 @@ TEST(Integration, AnnPlusSimPointStillLearns)
         rng.sampleWithoutReplacement(ctx.space().size(), 250);
 
     // Train on noisy SimPoint estimates...
-    ml::DataSet noisy;
-    for (uint64_t idx : train_idx)
-        noisy.add(ctx.space().encodeIndex(idx),
-                  ctx.simulateSimPointIpc(idx));
+    const auto noisy =
+        simulatedData(ctx, train_idx, study::Fidelity::SimPoint);
     const auto model = ml::trainEnsemble(noisy, integrationTrainOptions());
 
     // ...and measure against the true (full-simulation) space.
@@ -129,18 +135,15 @@ TEST(Integration, ModelRanksConfigurationsUsefully)
     Rng rng(45);
     const auto train_idx =
         rng.sampleWithoutReplacement(ctx.space().size(), 300);
-    ml::DataSet data;
-    for (uint64_t idx : train_idx)
-        data.add(ctx.space().encodeIndex(idx), ctx.simulateIpc(idx));
+    const auto data = simulatedData(ctx, train_idx);
     const auto model = ml::trainEnsemble(data, integrationTrainOptions());
 
     const auto eval = study::holdoutIndices(ctx.space(), train_idx,
                                             120, 13);
-    std::vector<double> predicted, actual;
-    for (uint64_t idx : eval) {
+    const auto actual = ctx.simulateBatch(eval);
+    std::vector<double> predicted;
+    for (uint64_t idx : eval)
         predicted.push_back(model.predict(ctx.space().encodeIndex(idx)));
-        actual.push_back(ctx.simulateIpc(idx));
-    }
     EXPECT_GT(pearson(predicted, actual), 0.9);
 }
 

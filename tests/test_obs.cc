@@ -24,6 +24,7 @@
 
 #include "ml/cross_validation.hh"
 #include "ml/explorer.hh"
+#include "oracles.hh"
 #include "study/harness.hh"
 #include "util/fault.hh"
 #include "util/metrics.hh"
@@ -317,7 +318,7 @@ TEST_F(ObsDeterminism, MetricsAndTracingLeaveResultsBitIdentical)
 
         // Golden pin (tests/test_golden.cc): instrumentation must not
         // drift the simulator's arithmetic.
-        EXPECT_NEAR(ctx.simulateIpc(100), 0.29359902515948677, 1e-9);
+        EXPECT_NEAR(ctx.simulateBatch({100})[0], 0.29359902515948677, 1e-9);
 
         ml::DataSet data;
         for (size_t i = 0; i < points.size(); ++i)
@@ -379,8 +380,9 @@ TEST_F(ObsDeterminism, BatchMakesOneCountedLookupPerPoint)
     // The SimPoint batch shares the fan-out: one counted lookup per
     // point there too.
     registry.reset();
-    const auto sp_cold = ctx.simulateSimPointBatch(points);
-    EXPECT_EQ(ctx.simulateSimPointBatch(points), sp_cold);
+    const auto sp = study::Fidelity::SimPoint;
+    const auto sp_cold = ctx.simulateBatch(points, sp);
+    EXPECT_EQ(ctx.simulateBatch(points, sp), sp_cold);
     snap = registry.snapshot();
     EXPECT_EQ(snap.counter("sim.simpoint_requests"), 2 * n);
     EXPECT_EQ(snap.counter("sim.simpoint_estimates"), n);
@@ -469,7 +471,7 @@ TEST_F(ObsTrace, DisarmedScopesRecordNothing)
     {
         study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
                                 4096);
-        ctx.simulateIpc(0);
+        ctx.simulateBatch({0});
     }
     EXPECT_EQ(obs::TraceCollector::global().eventCount(), 0u);
 }
@@ -487,7 +489,7 @@ TEST_F(ObsNames, EveryRegisteredNameIsValidAndUnique)
         study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
                                 4096, tmpPath("names.journal"));
         ctx.simulateBatch({0, 1});
-        ctx.simulateSimPointIpc(0);
+        ctx.simulateBatch({0}, study::Fidelity::SimPoint);
 
         ml::ExplorerOptions eopts;
         eopts.batchSize = 12;  // >= the default fold count

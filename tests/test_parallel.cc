@@ -24,6 +24,7 @@
 #include "ml/ann.hh"
 #include "ml/explorer.hh"
 #include "ml/multitask.hh"
+#include "oracles.hh"
 #include "study/harness.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
@@ -382,7 +383,8 @@ TEST(ParallelDeterminism, SimPointBatchBitIdenticalAcrossThreadCounts)
         PoolGuard guard(threads);
         study::StudyContext ctx(study::StudyKind::Processor, "gzip",
                                 16384);
-        results.push_back(ctx.simulateSimPointBatch(indices));
+        results.push_back(
+            ctx.simulateBatch(indices, study::Fidelity::SimPoint));
     }
     for (size_t t = 1; t < results.size(); ++t)
         EXPECT_EQ(results[t], results[0])
@@ -435,7 +437,7 @@ TEST(ParallelStress, ConcurrentOverlappingBatchesShareTheCache)
     for (size_t t = 0; t < sets.size(); ++t) {
         ASSERT_EQ(got[t].size(), sets[t].size());
         for (size_t i = 0; i < sets[t].size(); ++i)
-            EXPECT_EQ(got[t][i], ref.simulateIpc(sets[t][i]))
+            EXPECT_EQ(got[t][i], ref.simulateBatch({sets[t][i]})[0])
                 << "set " << t << " index " << i;
     }
 }

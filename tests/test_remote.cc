@@ -38,6 +38,7 @@
 #include "serve/protocol.hh"
 #include "study/harness.hh"
 #include "util/fault.hh"
+#include "util/metrics.hh"
 #include "util/thread_pool.hh"
 
 namespace dse {
@@ -395,11 +396,11 @@ TEST_F(RemoteTest, DispatchedBatchBitIdenticalToLocal)
     // Everything came over the wire: the dispatcher's context executed
     // nothing itself, yet holds full bit-identical SimResult records.
     EXPECT_EQ(ctx.simulationsExecuted(), 0u);
-    for (uint64_t idx : indices) {
-        ASSERT_TRUE(ctx.hasResult(idx));
-        expectResultsIdentical(ctx.simulateFull(idx),
-                               local.simulateFull(idx), idx);
-    }
+    EXPECT_TRUE(ctx.missing(indices, study::Fidelity::Detailed).empty());
+    const auto got_full = ctx.simulateFullBatch(indices);
+    const auto want_full = local.simulateFullBatch(indices);
+    for (size_t i = 0; i < indices.size(); ++i)
+        expectResultsIdentical(got_full[i], want_full[i], indices[i]);
     const auto st = dispatcher.stats();
     EXPECT_EQ(st.completed, 3u);  // 11 points / 4 per batch
     EXPECT_EQ(st.fallbacks, 0u);
@@ -407,12 +408,59 @@ TEST_F(RemoteTest, DispatchedBatchBitIdenticalToLocal)
     worker.stop();
 }
 
+TEST_F(RemoteTest, OnlyMissingPointsTravelOnceEach)
+{
+    // A batch that repeats locally memoized points, mixes in new ones,
+    // and names some twice: the worker must serve exactly the points
+    // missing() reports, once each, and the merged result must match
+    // an all-local run bit for bit.
+    study::StudyContext ctx(study::StudyKind::MemorySystem, "gzip",
+                            kTraceLen);
+    const std::vector<uint64_t> memoized = {7, 999, 12345};
+    ctx.simulateBatch(memoized);
+    const std::vector<uint64_t> batch = {999, 42,    7,     42, 5000,
+                                         12345, 23039, 5000, 0};
+    const auto todo = ctx.missing(batch, study::Fidelity::Detailed);
+    EXPECT_EQ(todo, (std::vector<uint64_t>{42, 5000, 23039, 0}));
+
+    remote::SimWorker worker(workerOptions());
+    worker.start();
+    remote::RemoteDispatcher dispatcher(
+        ctx, dispatcherOptions({worker.port()}));
+    obs::setMetricsEnabled(true);
+    auto &registry = obs::MetricsRegistry::global();
+    registry.reset();
+    const auto got = dispatcher.simulateBatch(batch);
+    const auto snap = registry.snapshot();
+    obs::setMetricsEnabled(false);
+    worker.stop();
+
+    // The worker received the four missing points and simulated each
+    // once; this context simulated nothing beyond its own three.
+    EXPECT_EQ(snap.counter("remote.worker_points"), todo.size());
+    EXPECT_EQ(snap.counter("sim.executed"), todo.size());
+    EXPECT_EQ(ctx.simulationsExecuted(), memoized.size());
+    EXPECT_TRUE(ctx.missing(batch, study::Fidelity::Detailed).empty());
+    const auto st = dispatcher.stats();
+    EXPECT_EQ(st.completed, 1u);  // 4 points, 4 per batch
+    EXPECT_EQ(st.retries, 0u);
+
+    study::StudyContext local(study::StudyKind::MemorySystem, "gzip",
+                              kTraceLen);
+    EXPECT_EQ(got, local.simulateBatch(batch));
+    const auto got_full = ctx.simulateFullBatch(batch);
+    const auto want_full = local.simulateFullBatch(batch);
+    for (size_t i = 0; i < batch.size(); ++i)
+        expectResultsIdentical(got_full[i], want_full[i], batch[i]);
+}
+
 TEST_F(RemoteTest, SimPointBatchBitIdenticalToLocal)
 {
     const auto indices = sampleIndices();
     study::StudyContext local(study::StudyKind::MemorySystem, "gzip",
                               kTraceLen);
-    const auto want = local.simulateSimPointBatch(indices);
+    const auto want =
+        local.simulateBatch(indices, study::Fidelity::SimPoint);
 
     remote::SimWorker worker(workerOptions());
     worker.start();
@@ -458,9 +506,10 @@ TEST_F(RemoteTest, WorkerCrashMidRunStaysBitIdentical)
     const auto t0 = Clock::now();
     const auto got = dispatcher.simulateBatch(indices);
     EXPECT_EQ(got, want);
-    for (uint64_t idx : indices)
-        expectResultsIdentical(ctx.simulateFull(idx),
-                               local.simulateFull(idx), idx);
+    const auto got_full = ctx.simulateFullBatch(indices);
+    const auto want_full = local.simulateFullBatch(indices);
+    for (size_t i = 0; i < indices.size(); ++i)
+        expectResultsIdentical(got_full[i], want_full[i], indices[i]);
 
     // Every batch settled exactly once — answered or handed to the
     // local path — and faults were actually injected.

@@ -29,7 +29,7 @@ ipcAt(StudyContext &ctx, std::vector<int> lv, const std::string &param,
       int level)
 {
     lv[ctx.space().paramIndex(param)] = level;
-    return ctx.simulateIpc(ctx.space().index(lv));
+    return ctx.simulateBatch({ctx.space().index(lv)})[0];
 }
 
 class MemoryStudyProperties : public ::testing::TestWithParam<std::string>
@@ -137,7 +137,8 @@ TEST_P(ProcessorStudyProperties, ContextsAreDeterministic)
 {
     StudyContext other(StudyKind::Processor, GetParam(), 16384);
     const uint64_t idx = other.space().size() / 7;
-    EXPECT_DOUBLE_EQ(ctx_->simulateIpc(idx), other.simulateIpc(idx));
+    EXPECT_DOUBLE_EQ(ctx_->simulateBatch({idx})[0],
+                     other.simulateBatch({idx})[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, ProcessorStudyProperties,

@@ -138,12 +138,12 @@ TEST(Spaces, StudyNamesAndDispatch)
 TEST(Harness, SimulationIsMemoized)
 {
     StudyContext ctx(StudyKind::MemorySystem, "gzip", 8192);
-    const double a = ctx.simulateIpc(100);
+    const double a = ctx.simulateBatch({100})[0];
     EXPECT_EQ(ctx.simulationsRun(), 1u);
-    const double b = ctx.simulateIpc(100);
+    const double b = ctx.simulateBatch({100})[0];
     EXPECT_EQ(ctx.simulationsRun(), 1u);
     EXPECT_DOUBLE_EQ(a, b);
-    ctx.simulateIpc(200);
+    ctx.simulateBatch({200});
     EXPECT_EQ(ctx.simulationsRun(), 2u);
 }
 
@@ -151,7 +151,8 @@ TEST(Harness, DifferentPointsDiffer)
 {
     StudyContext ctx(StudyKind::MemorySystem, "crafty", 8192);
     // Extreme corners of the space should give different IPC.
-    EXPECT_NE(ctx.simulateIpc(0), ctx.simulateIpc(ctx.space().size() - 1));
+    const auto corners = ctx.simulateBatch({0, ctx.space().size() - 1});
+    EXPECT_NE(corners[0], corners[1]);
 }
 
 TEST(Harness, HoldoutExcludesAndIsDisjoint)
@@ -213,8 +214,8 @@ TEST(Harness, SimPointEstimateReasonable)
 {
     StudyContext ctx(StudyKind::Processor, "gzip", 16384);
     const uint64_t idx = ctx.space().size() / 3;
-    const double full = ctx.simulateIpc(idx);
-    const double est = ctx.simulateSimPointIpc(idx);
+    const double full = ctx.simulateBatch({idx})[0];
+    const double est = ctx.simulateBatch({idx}, Fidelity::SimPoint)[0];
     EXPECT_GT(est, 0.0);
     EXPECT_LT(percentageError(est, full), 40.0);
 }

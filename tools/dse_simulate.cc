@@ -153,7 +153,7 @@ run(int argc, char **argv)
         }
     }
 
-    const auto &r = ctx.simulateFull(index);
+    const sim::SimResult r = ctx.simulateFullBatch({index})[0];
     std::printf("\nconfig: %s\n", ctx.config(index).describe().c_str());
     std::printf("cycles            %llu\n",
                 static_cast<unsigned long long>(r.cycles));
@@ -173,7 +173,8 @@ run(int argc, char **argv)
                 static_cast<unsigned long long>(r.branches));
 
     if (use_simpoint) {
-        const double est = ctx.simulateSimPointIpc(index);
+        const double est =
+            ctx.simulateBatch({index}, study::Fidelity::SimPoint)[0];
         std::printf("\nSimPoint estimate %.4f (%.2f%% off, %zu of %zu "
                     "instructions detailed)\n",
                     est, 100.0 * std::abs(est - r.ipc) / r.ipc,
