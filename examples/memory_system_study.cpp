@@ -79,15 +79,9 @@ main()
                 "(predicted %.3f, simulated %.3f):\n",
                 best_ipc, ctx.simulateBatch({best_idx})[0]);
     const auto lv = space.levels(best_idx);
-    for (size_t p = 0; p < space.numParams(); ++p) {
-        if (space.param(p).kind == ml::ParamKind::Nominal) {
-            std::printf("  %-16s %s\n", space.param(p).name.c_str(),
-                        space.label(p, lv[p]).c_str());
-        } else {
-            std::printf("  %-16s %g\n", space.param(p).name.c_str(),
-                        space.value(p, lv[p]));
-        }
-    }
+    for (size_t p = 0; p < space.numParams(); ++p)
+        std::printf("  %-16s %s\n", space.param(p).name.c_str(),
+                    space.levelText(p, lv[p]).c_str());
     std::printf("\ntotal detailed simulations: %zu of %llu (%.1f%%)\n",
                 ctx.simulationsRun(),
                 static_cast<unsigned long long>(space.size()),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <stdexcept>
 
 namespace dse {
@@ -259,6 +260,16 @@ DesignSpace::label(size_t p, int l) const
     if (desc.kind != ParamKind::Nominal)
         throw std::invalid_argument("parameter is not nominal");
     return desc.labels.at(static_cast<size_t>(l));
+}
+
+std::string
+DesignSpace::levelText(size_t p, int l) const
+{
+    if (params_.at(p).kind == ParamKind::Nominal)
+        return label(p, l);
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", value(p, l));
+    return buf;
 }
 
 double

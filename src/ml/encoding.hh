@@ -128,6 +128,10 @@ class DesignSpace
     /** Label of nominal parameter `p` at level `l`. */
     const std::string &label(size_t p, int l) const;
 
+    /** Level `l` of parameter `p` as printed: the label of a nominal
+     *  parameter, the value in `%g` form otherwise. */
+    std::string levelText(size_t p, int l) const;
+
     /** Numeric value of the named parameter in a level vector. */
     double valueOf(const std::string &name,
                    const std::vector<int> &levels) const;

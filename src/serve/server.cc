@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -86,28 +87,33 @@ constexpr uint64_t kLingerQuietNs = 50'000'000;
 ServerOptions
 ServerOptions::fromEnv()
 {
+    // A malformed, negative or out-of-range knob keeps its default:
+    // cast to size_t, "-1" would ask the pool for SIZE_MAX threads.
     ServerOptions o;
     if (const char *addr = std::getenv("DSE_SERVE_ADDR")) {
         std::string s(addr);
         const auto colon = s.rfind(':');
         if (colon != std::string::npos) {
-            o.port = static_cast<uint16_t>(
-                std::atoi(s.c_str() + colon + 1));
+            char *end = nullptr;
+            const long port = std::strtol(s.c_str() + colon + 1, &end, 10);
+            if (colon + 1 < s.size() && *end == '\0' && port >= 0 &&
+                port <= 65535)
+                o.port = static_cast<uint16_t>(port);
             s.resize(colon);
         }
         if (!s.empty())
             o.addr = s;
     }
-    o.workers =
-        static_cast<size_t>(envInt("DSE_SERVE_WORKERS", 0));
-    o.queueCapacity = static_cast<size_t>(
-        envInt("DSE_SERVE_QUEUE", static_cast<long long>(o.queueCapacity)));
+    o.workers = static_cast<size_t>(envInt(
+        "DSE_SERVE_WORKERS", 0, 0, util::ThreadPool::kMaxThreads));
+    o.queueCapacity = static_cast<size_t>(envInt(
+        "DSE_SERVE_QUEUE", static_cast<long long>(o.queueCapacity), 0));
     o.maxBatchPoints = static_cast<size_t>(envInt(
-        "DSE_SERVE_BATCH", static_cast<long long>(o.maxBatchPoints)));
+        "DSE_SERVE_BATCH", static_cast<long long>(o.maxBatchPoints), 0));
     o.idleTimeoutMs = static_cast<int>(
-        envInt("DSE_SERVE_IDLE_MS", o.idleTimeoutMs));
+        envInt("DSE_SERVE_IDLE_MS", o.idleTimeoutMs, 0, INT_MAX));
     o.writeTimeoutMs = static_cast<int>(
-        envInt("DSE_SERVE_WRITE_MS", o.writeTimeoutMs));
+        envInt("DSE_SERVE_WRITE_MS", o.writeTimeoutMs, 0, INT_MAX));
     return o;
 }
 

@@ -19,14 +19,16 @@ rawEnv(const char *name)
 } // namespace
 
 long long
-envInt(const char *name, long long fallback)
+envInt(const char *name, long long fallback, long long lo, long long hi)
 {
     const char *v = rawEnv(name);
     if (!v)
         return fallback;
     char *end = nullptr;
     long long parsed = std::strtoll(v, &end, 10);
-    return (end && *end == '\0') ? parsed : fallback;
+    return (end && *end == '\0' && parsed >= lo && parsed <= hi)
+        ? parsed
+        : fallback;
 }
 
 double

@@ -9,13 +9,16 @@
 #ifndef DSE_UTIL_ENV_HH
 #define DSE_UTIL_ENV_HH
 
+#include <climits>
 #include <string>
 #include <vector>
 
 namespace dse {
 
-/** Read an integer env var, or `fallback` when unset/unparsable. */
-long long envInt(const char *name, long long fallback);
+/** Read an integer env var, or `fallback` when unset, unparsable or
+ *  outside [lo, hi]. */
+long long envInt(const char *name, long long fallback,
+                 long long lo = LLONG_MIN, long long hi = LLONG_MAX);
 
 /** Read a floating-point env var, or `fallback` when unset/unparsable. */
 double envDouble(const char *name, double fallback);

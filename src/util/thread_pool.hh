@@ -76,6 +76,10 @@ class ThreadPool
         return out;
     }
 
+    /** Most threads a count read from a flag or a server knob may
+     *  start (dse_serve --workers, DSE_SERVE_WORKERS, ...). */
+    static constexpr size_t kMaxThreads = 1024;
+
     /** DSE_THREADS when set (>0), else hardware concurrency (>=1). */
     static size_t configuredThreads();
 

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -486,6 +487,56 @@ TEST(ServeModel, LoadModelByPathThenPredict)
 
     server.stop();
     std::remove(path.c_str());
+}
+
+TEST(ServeOptions, OutOfRangeEnvKnobsKeepTheirDefaults)
+{
+    const serve::ServerOptions d;
+    const char *knobs[] = {"DSE_SERVE_ADDR", "DSE_SERVE_WORKERS",
+                           "DSE_SERVE_QUEUE", "DSE_SERVE_BATCH",
+                           "DSE_SERVE_IDLE_MS", "DSE_SERVE_WRITE_MS"};
+    auto set = [](const char *name, const char *value) {
+        ASSERT_EQ(::setenv(name, value, 1), 0);
+    };
+
+    // Cast to size_t, -1 used to ask the pool for SIZE_MAX threads.
+    set("DSE_SERVE_ADDR", "10.0.0.1:70000");
+    set("DSE_SERVE_WORKERS", "-1");
+    set("DSE_SERVE_QUEUE", "-1");
+    set("DSE_SERVE_BATCH", "-7");
+    set("DSE_SERVE_IDLE_MS", "-1");
+    set("DSE_SERVE_WRITE_MS", "4294967296");
+    auto o = serve::ServerOptions::fromEnv();
+    EXPECT_EQ(o.addr, "10.0.0.1");
+    EXPECT_EQ(o.port, d.port);
+    EXPECT_EQ(o.workers, d.workers);
+    EXPECT_EQ(o.queueCapacity, d.queueCapacity);
+    EXPECT_EQ(o.maxBatchPoints, d.maxBatchPoints);
+    EXPECT_EQ(o.idleTimeoutMs, d.idleTimeoutMs);
+    EXPECT_EQ(o.writeTimeoutMs, d.writeTimeoutMs);
+
+    set("DSE_SERVE_ADDR", "h:12x");
+    set("DSE_SERVE_WORKERS", "1025");
+    EXPECT_EQ(serve::ServerOptions::fromEnv().port, d.port);
+    EXPECT_EQ(serve::ServerOptions::fromEnv().workers, d.workers);
+
+    set("DSE_SERVE_ADDR", "h:65535");
+    set("DSE_SERVE_WORKERS", "1024");
+    set("DSE_SERVE_QUEUE", "9");
+    set("DSE_SERVE_BATCH", "0");
+    set("DSE_SERVE_IDLE_MS", "5");
+    set("DSE_SERVE_WRITE_MS", "2147483647");
+    o = serve::ServerOptions::fromEnv();
+    EXPECT_EQ(o.addr, "h");
+    EXPECT_EQ(o.port, 65535u);
+    EXPECT_EQ(o.workers, 1024u);
+    EXPECT_EQ(o.queueCapacity, 9u);
+    EXPECT_EQ(o.maxBatchPoints, 0u);
+    EXPECT_EQ(o.idleTimeoutMs, 5);
+    EXPECT_EQ(o.writeTimeoutMs, 2147483647);
+
+    for (const char *name : knobs)
+        ::unsetenv(name);
 }
 
 } // namespace

@@ -14,14 +14,13 @@
  *   dse_explore --study=processor --app=crafty --describe-space
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "ml/explorer.hh"
 #include "ml/io.hh"
 #include "remote/dispatcher.hh"
@@ -48,108 +47,71 @@ struct Options
     std::string loadModel;
     std::vector<uint64_t> predictIndices;
     int maxEpochs = 5000;
-    bool metrics = false;
-    std::string metricsPath;  ///< empty = table on stdout
+    cli::Metrics metrics;
     std::string workers;      ///< host:port,... (also DSE_WORKERS)
 };
 
-void
-usage()
-{
-    std::puts(
-        "usage: dse_explore [options]\n"
-        "  --study=memory|processor   design space (default processor)\n"
-        "  --app=<name>               benchmark (default gzip)\n"
-        "  --target-error=<pct>       stop threshold (default 2.0)\n"
-        "  --batch=<n>                sims per round (default 50)\n"
-        "  --max-sims=<n>             simulation cap (default 1000)\n"
-        "  --max-epochs=<n>           per-network budget (default 5000)\n"
-        "  --simpoint                 train on SimPoint estimates\n"
-        "  --active                   active-learning sampling\n"
-        "  --save-model=<path>        write the trained ensemble\n"
-        "  --load-model=<path>        skip training, load a model\n"
-        "  --predict=<index>          predict a design point (repeat)\n"
-        "  --workers=<host:port,...>  remote simulation workers\n"
-        "                             (default $DSE_WORKERS; failures\n"
-        "                             fall back to local simulation)\n"
-        "  --describe-space           print the space and exit\n"
-        "  --list-apps                print benchmark names and exit\n"
-        "  --metrics[=path]           collect dse::obs metrics; print a\n"
-        "                             table, or write JSON to <path>\n"
-        "exit codes: 0 ok, 1 bad usage, 2 invalid input (unknown app/\n"
-        "index/model contents), 3 runtime or I/O failure, 4 internal");
-}
+const char *const kUsage =
+    "usage: dse_explore [options]\n"
+    "  --study=memory|processor   design space (default processor)\n"
+    "  --app=<name>               benchmark (default gzip)\n"
+    "  --target-error=<pct>       stop threshold (default 2.0)\n"
+    "  --batch=<n>                sims per round (default 50)\n"
+    "  --max-sims=<n>             simulation cap (default 1000)\n"
+    "  --max-epochs=<n>           per-network budget (default 5000)\n"
+    "  --simpoint                 train on SimPoint estimates\n"
+    "  --active                   active-learning sampling\n"
+    "  --save-model=<path>        write the trained ensemble\n"
+    "  --load-model=<path>        skip training, load a model\n"
+    "  --predict=<index>          predict a design point (repeat)\n"
+    "  --workers=<host:port,...>  remote simulation workers\n"
+    "                             (default $DSE_WORKERS; failures\n"
+    "                             fall back to local simulation)\n"
+    "  --describe-space           print the space and exit\n"
+    "  --list-apps                print benchmark names and exit\n"
+    "  --metrics[=path]           collect dse::obs metrics; print a\n"
+    "                             table, or write JSON to <path>\n"
+    "exit codes: 0 ok, 1 bad usage, 2 invalid input (unknown app/\n"
+    "index/model contents), 3 runtime or I/O failure, 4 internal";
 
-bool
-parseArg(const char *arg, const char *name, std::string &out)
+Options
+parse(int argc, char **argv)
 {
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        out = arg + len + 1;
-        return true;
-    }
-    return false;
-}
-
-bool
-parse(int argc, char **argv, Options &opts)
-{
+    Options opts;
     for (int i = 1; i < argc; ++i) {
-        std::string value;
-        const char *arg = argv[i];
-        if (parseArg(arg, "--study", value)) {
-            if (value == "memory" || value == "memory-system") {
-                opts.kind = study::StudyKind::MemorySystem;
-            } else if (value == "processor") {
-                opts.kind = study::StudyKind::Processor;
-            } else {
-                std::fprintf(stderr, "unknown study '%s'\n",
-                             value.c_str());
-                return false;
-            }
-        } else if (parseArg(arg, "--app", value)) {
-            opts.app = value;
-        } else if (parseArg(arg, "--target-error", value)) {
-            opts.targetError = std::atof(value.c_str());
-        } else if (parseArg(arg, "--batch", value)) {
-            opts.batch = static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--max-sims", value)) {
-            opts.maxSims =
-                static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--max-epochs", value)) {
-            opts.maxEpochs = std::atoi(value.c_str());
-        } else if (parseArg(arg, "--save-model", value)) {
-            opts.saveModel = value;
-        } else if (parseArg(arg, "--load-model", value)) {
-            opts.loadModel = value;
-        } else if (parseArg(arg, "--predict", value)) {
-            opts.predictIndices.push_back(
-                static_cast<uint64_t>(std::atoll(value.c_str())));
-        } else if (parseArg(arg, "--workers", value)) {
-            opts.workers = value;
-        } else if (std::strcmp(arg, "--metrics") == 0) {
-            opts.metrics = true;
-        } else if (parseArg(arg, "--metrics", value)) {
-            opts.metrics = true;
-            opts.metricsPath = value;
-        } else if (std::strcmp(arg, "--simpoint") == 0) {
+        cli::Arg a(argv[i]);
+        if (a.has("--study"))
+            opts.kind = a.study();
+        else if (a.has("--app"))
+            opts.app = a.value();
+        else if (a.has("--target-error"))
+            opts.targetError = a.real(0);
+        else if (a.has("--batch"))
+            opts.batch = a.count(1);
+        else if (a.has("--max-sims"))
+            opts.maxSims = a.count();
+        else if (a.has("--max-epochs"))
+            opts.maxEpochs = static_cast<int>(a.count(0, INT_MAX));
+        else if (a.has("--save-model"))
+            opts.saveModel = a.value();
+        else if (a.has("--load-model"))
+            opts.loadModel = a.value();
+        else if (a.has("--predict"))
+            opts.predictIndices.push_back(a.count());
+        else if (a.has("--workers"))
+            opts.workers = a.value();
+        else if (a.is("--simpoint"))
             opts.simpoint = true;
-        } else if (std::strcmp(arg, "--active") == 0) {
+        else if (a.is("--active"))
             opts.active = true;
-        } else if (std::strcmp(arg, "--describe-space") == 0) {
+        else if (a.is("--describe-space"))
             opts.describeSpace = true;
-        } else if (std::strcmp(arg, "--list-apps") == 0) {
+        else if (a.is("--list-apps"))
             opts.listApps = true;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
-            usage();
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg);
-            return false;
-        }
+        else if (!a.metrics(opts.metrics))
+            a.unknown();
     }
-    return true;
+    return opts;
 }
 
 void
@@ -162,13 +124,8 @@ describeSpace(const ml::DesignSpace &space)
     for (size_t p = 0; p < space.numParams(); ++p) {
         const auto &desc = space.param(p);
         std::printf("  %-16s", desc.name.c_str());
-        if (desc.kind == ml::ParamKind::Nominal) {
-            for (const auto &label : desc.labels)
-                std::printf(" %s", label.c_str());
-        } else {
-            for (double v : desc.values)
-                std::printf(" %g", v);
-        }
+        for (int l = 0; l < desc.numLevels(); ++l)
+            std::printf(" %s", space.levelText(p, l).c_str());
         std::printf("\n");
     }
 }
@@ -189,27 +146,16 @@ printPoint(study::StudyContext &ctx, const ml::Ensemble &model,
                 static_cast<unsigned long long>(idx), pred,
                 model.memberSpreadIndices(space, {idx})[0]);
     const auto lv = space.levels(idx);
-    for (size_t p = 0; p < space.numParams(); ++p) {
-        if (space.param(p).kind == ml::ParamKind::Nominal) {
-            std::printf("    %-16s %s\n", space.param(p).name.c_str(),
-                        space.label(p, lv[p]).c_str());
-        } else {
-            std::printf("    %-16s %g\n", space.param(p).name.c_str(),
-                        space.value(p, lv[p]));
-        }
-    }
+    for (size_t p = 0; p < space.numParams(); ++p)
+        std::printf("    %-16s %s\n", space.param(p).name.c_str(),
+                    space.levelText(p, lv[p]).c_str());
 }
 
 int
 run(int argc, char **argv)
 {
-    Options opts;
-    if (!parse(argc, argv, opts)) {
-        usage();
-        return 1;
-    }
-
-    if (opts.metrics)
+    const Options opts = parse(argc, argv);
+    if (opts.metrics.on)
         obs::setMetricsEnabled(true);
 
     if (opts.listApps) {
@@ -294,8 +240,8 @@ run(int argc, char **argv)
     for (uint64_t idx : opts.predictIndices)
         printPoint(ctx, *model, idx);
 
-    if (opts.metrics)
-        obs::reportGlobalMetrics(opts.metricsPath);
+    if (opts.metrics.on)
+        obs::reportGlobalMetrics(opts.metrics.path);
     return 0;
 }
 
@@ -304,20 +250,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Every failure surfaces as one actionable line and a distinct
-    // exit code (see usage()) — never an uncaught std::runtime_error
-    // aborting with a core dump mid-campaign.
-    try {
-        return run(argc, argv);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "dse_explore: invalid input: %s\n",
-                     e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "dse_explore: error: %s\n", e.what());
-        return 3;
-    } catch (...) {
-        std::fprintf(stderr, "dse_explore: unknown fatal error\n");
-        return 4;
-    }
+    return cli::main("dse_explore", kUsage, run, argc, argv);
 }

@@ -17,13 +17,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli.hh"
 #include "serve/client.hh"
+#include "util/thread_pool.hh"
 
 using namespace dse;
 using Clock = std::chrono::steady_clock;
@@ -43,77 +43,51 @@ struct Options
     std::string jsonPath;
 };
 
-void
-usage()
-{
-    std::puts(
-        "usage: dse_loadgen [options]\n"
-        "  --host=<ip>           server address (default 127.0.0.1)\n"
-        "  --port=<n>            server port\n"
-        "  --port-file=<path>    read the port from a file (dse_serve\n"
-        "                        --port-file)\n"
-        "  --connections=<n>     concurrent client connections (4)\n"
-        "  --requests=<n>        requests per connection (2000)\n"
-        "  --points=<n>          points per PredictPoints request (1)\n"
-        "  --range=<n>           use PredictRange of this count instead\n"
-        "  --duration=<sec>      run for a fixed time instead of a\n"
-        "                        fixed request count\n"
-        "  --json=<path>         write a benchmark-format JSON report\n"
-        "exit codes: 0 ok, 1 bad usage, 2 invalid input, 3 runtime\n"
-        "failure, 4 internal");
-}
+const char *const kUsage =
+    "usage: dse_loadgen [options]\n"
+    "  --host=<ip>           server address (default 127.0.0.1)\n"
+    "  --port=<n>            server port\n"
+    "  --port-file=<path>    read the port from a file (dse_serve\n"
+    "                        --port-file)\n"
+    "  --connections=<n>     concurrent client connections (4)\n"
+    "                        (at most 1024)\n"
+    "  --requests=<n>        requests per connection (2000)\n"
+    "  --points=<n>          points per PredictPoints request (1)\n"
+    "  --range=<n>           use PredictRange of this count instead\n"
+    "  --duration=<sec>      run for a fixed time instead of a\n"
+    "                        fixed request count\n"
+    "  --json=<path>         write a benchmark-format JSON report\n"
+    "exit codes: 0 ok, 1 bad usage, 2 invalid input, 3 runtime\n"
+    "failure, 4 internal";
 
-bool
-parseArg(const char *arg, const char *name, std::string &out)
+Options
+parse(int argc, char **argv)
 {
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        out = arg + len + 1;
-        return true;
-    }
-    return false;
-}
-
-bool
-parse(int argc, char **argv, Options &opts)
-{
+    Options opts;
     for (int i = 1; i < argc; ++i) {
-        std::string value;
-        const char *arg = argv[i];
-        if (parseArg(arg, "--host", value)) {
-            opts.host = value;
-        } else if (parseArg(arg, "--port", value)) {
-            opts.port = static_cast<uint16_t>(std::atoi(value.c_str()));
-        } else if (parseArg(arg, "--port-file", value)) {
-            opts.portFile = value;
-        } else if (parseArg(arg, "--connections", value)) {
-            opts.connections =
-                static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--requests", value)) {
-            opts.requests =
-                static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--points", value)) {
-            opts.points = static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--range", value)) {
-            opts.range = static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--duration", value)) {
-            opts.durationS = std::atof(value.c_str());
-        } else if (parseArg(arg, "--json", value)) {
-            opts.jsonPath = value;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
-            usage();
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "unknown argument '%s'\n", arg);
-            return false;
-        }
+        cli::Arg a(argv[i]);
+        if (a.has("--host"))
+            opts.host = a.value();
+        else if (a.has("--port"))
+            opts.port = a.port();
+        else if (a.has("--port-file"))
+            opts.portFile = a.value();
+        else if (a.has("--connections"))
+            opts.connections = a.count(1, util::ThreadPool::kMaxThreads);
+        else if (a.has("--requests"))
+            opts.requests = a.count();
+        else if (a.has("--points"))
+            opts.points = a.count(1);
+        else if (a.has("--range"))
+            opts.range = a.count();
+        else if (a.has("--duration"))
+            opts.durationS = a.real(0);
+        else if (a.has("--json"))
+            opts.jsonPath = a.value();
+        else
+            a.unknown();
     }
-    if (opts.connections == 0 || opts.points == 0) {
-        std::fprintf(stderr, "--connections/--points must be > 0\n");
-        return false;
-    }
-    return true;
+    return opts;
 }
 
 struct WorkerResult
@@ -145,11 +119,7 @@ percentile(std::vector<uint64_t> &sorted, double p)
 int
 run(int argc, char **argv)
 {
-    Options opts;
-    if (!parse(argc, argv, opts)) {
-        usage();
-        return 1;
-    }
+    Options opts = parse(argc, argv);
     if (!opts.portFile.empty()) {
         FILE *f = std::fopen(opts.portFile.c_str(), "r");
         if (!f)
@@ -403,17 +373,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "dse_loadgen: invalid input: %s\n",
-                     e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "dse_loadgen: error: %s\n", e.what());
-        return 3;
-    } catch (...) {
-        std::fprintf(stderr, "dse_loadgen: unknown fatal error\n");
-        return 4;
-    }
+    return cli::main("dse_loadgen", kUsage, run, argc, argv);
 }

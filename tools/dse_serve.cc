@@ -10,12 +10,11 @@
  *   dse_serve --port=0 --port-file=/tmp/port --metrics=serve.json
  */
 
-#include <csignal>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "cli.hh"
 #include "ml/explorer.hh"
 #include "ml/io.hh"
 #include "serve/server.hh"
@@ -37,131 +36,77 @@ struct Options
     size_t maxSims = 200;
     int maxEpochs = 2000;
     std::string portFile;  ///< write the bound port here (scripts)
-    bool metrics = false;
-    std::string metricsPath;
+    cli::Metrics metrics;
 };
 
-void
-usage()
-{
-    std::puts(
-        "usage: dse_serve [options]\n"
-        "  --model=<path>             serve a saved ensemble file\n"
-        "  --study=memory|processor   attach a design space (enables\n"
-        "                             PredictRange; required to train)\n"
-        "  --app=<name>               benchmark to train on\n"
-        "  --train                    train at startup (needs study+app)\n"
-        "  --max-sims=<n>             training simulation cap (200)\n"
-        "  --max-epochs=<n>           per-network epoch cap (2000)\n"
-        "  --addr=<ip>                bind address (default 127.0.0.1)\n"
-        "  --port=<n>                 TCP port (default 0 = ephemeral)\n"
-        "  --port-file=<path>         write the bound port to a file\n"
-        "  --workers=<n>              worker threads (default DSE_THREADS)\n"
-        "  --queue=<n>                request-queue capacity (256)\n"
-        "  --batch=<n>                max coalesced points (1024)\n"
-        "  --metrics[=path]           dse::obs report at shutdown\n"
-        "env: DSE_SERVE_ADDR, DSE_SERVE_BATCH, DSE_SERVE_QUEUE,\n"
-        "     DSE_SERVE_WORKERS, DSE_SERVE_IDLE_MS, DSE_SERVE_WRITE_MS\n"
-        "     (flags win over env)\n"
-        "exit codes: 0 ok, 1 bad usage, 2 invalid input, 3 runtime or\n"
-        "I/O failure, 4 internal");
-}
+const char *const kUsage =
+    "usage: dse_serve [options]\n"
+    "  --model=<path>             serve a saved ensemble file\n"
+    "  --study=memory|processor   attach a design space (enables\n"
+    "                             PredictRange; required to train)\n"
+    "  --app=<name>               benchmark to train on\n"
+    "  --train                    train at startup (needs study+app)\n"
+    "  --max-sims=<n>             training simulation cap (200)\n"
+    "  --max-epochs=<n>           per-network epoch cap (2000)\n"
+    "  --addr=<ip>                bind address (default 127.0.0.1)\n"
+    "  --port=<n>                 TCP port (default 0 = ephemeral)\n"
+    "  --port-file=<path>         write the bound port to a file\n"
+    "  --workers=<n>              worker threads (default DSE_THREADS)\n"
+    "                             (at most 1024)\n"
+    "  --queue=<n>                request-queue capacity (256)\n"
+    "  --batch=<n>                max coalesced points (1024)\n"
+    "  --metrics[=path]           dse::obs report at shutdown\n"
+    "env: DSE_SERVE_ADDR, DSE_SERVE_BATCH, DSE_SERVE_QUEUE,\n"
+    "     DSE_SERVE_WORKERS, DSE_SERVE_IDLE_MS, DSE_SERVE_WRITE_MS\n"
+    "     (flags win over env)\n"
+    "exit codes: 0 ok, 1 bad usage, 2 invalid input, 3 runtime or\n"
+    "I/O failure, 4 internal";
 
-bool
-parseArg(const char *arg, const char *name, std::string &out)
+Options
+parse(int argc, char **argv)
 {
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        out = arg + len + 1;
-        return true;
-    }
-    return false;
-}
-
-bool
-parse(int argc, char **argv, Options &opts)
-{
+    Options opts;
     for (int i = 1; i < argc; ++i) {
-        std::string value;
-        const char *arg = argv[i];
-        if (parseArg(arg, "--model", value)) {
-            opts.model = value;
-        } else if (parseArg(arg, "--study", value)) {
-            if (value == "memory" || value == "memory-system") {
-                opts.kind = study::StudyKind::MemorySystem;
-            } else if (value == "processor") {
-                opts.kind = study::StudyKind::Processor;
-            } else {
-                std::fprintf(stderr, "unknown study '%s'\n",
-                             value.c_str());
-                return false;
-            }
+        cli::Arg a(argv[i]);
+        if (a.has("--model")) {
+            opts.model = a.value();
+        } else if (a.has("--study")) {
+            opts.kind = a.study();
             opts.hasStudy = true;
-        } else if (parseArg(arg, "--app", value)) {
-            opts.app = value;
-        } else if (parseArg(arg, "--max-sims", value)) {
-            opts.maxSims =
-                static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--max-epochs", value)) {
-            opts.maxEpochs = std::atoi(value.c_str());
-        } else if (parseArg(arg, "--addr", value)) {
-            opts.server.addr = value;
-        } else if (parseArg(arg, "--port", value)) {
-            opts.server.port =
-                static_cast<uint16_t>(std::atoi(value.c_str()));
-        } else if (parseArg(arg, "--port-file", value)) {
-            opts.portFile = value;
-        } else if (parseArg(arg, "--workers", value)) {
-            opts.server.workers =
-                static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--queue", value)) {
-            opts.server.queueCapacity =
-                static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (parseArg(arg, "--batch", value)) {
-            opts.server.maxBatchPoints =
-                static_cast<size_t>(std::atoll(value.c_str()));
-        } else if (std::strcmp(arg, "--train") == 0) {
+        } else if (a.has("--app")) {
+            opts.app = a.value();
+        } else if (a.has("--max-sims")) {
+            opts.maxSims = a.count(1);
+        } else if (a.has("--max-epochs")) {
+            opts.maxEpochs = static_cast<int>(a.count(0, INT_MAX));
+        } else if (a.has("--addr")) {
+            opts.server.addr = a.value();
+        } else if (a.has("--port")) {
+            opts.server.port = a.port();
+        } else if (a.has("--port-file")) {
+            opts.portFile = a.value();
+        } else if (a.has("--workers")) {
+            opts.server.workers = a.count(0, util::ThreadPool::kMaxThreads);
+        } else if (a.has("--queue")) {
+            opts.server.queueCapacity = a.count();
+        } else if (a.has("--batch")) {
+            opts.server.maxBatchPoints = a.count();
+        } else if (a.is("--train")) {
             opts.train = true;
-        } else if (std::strcmp(arg, "--metrics") == 0) {
-            opts.metrics = true;
-        } else if (parseArg(arg, "--metrics", value)) {
-            opts.metrics = true;
-            opts.metricsPath = value;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
-            usage();
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "unknown argument '%s'\n", arg);
-            return false;
+        } else if (!a.metrics(opts.metrics)) {
+            a.unknown();
         }
     }
-    if (opts.train && (!opts.hasStudy || opts.app.empty())) {
-        std::fprintf(stderr, "--train needs --study and --app\n");
-        return false;
-    }
-    return true;
-}
-
-serve::Server *g_server = nullptr;
-
-void
-onSignal(int)
-{
-    // Async-signal-safe: flips an atomic and pokes the wake pipe.
-    if (g_server)
-        g_server->requestStop();
+    if (opts.train && (!opts.hasStudy || opts.app.empty()))
+        throw cli::UsageError("--train needs --study and --app");
+    return opts;
 }
 
 int
 run(int argc, char **argv)
 {
-    Options opts;
-    if (!parse(argc, argv, opts)) {
-        usage();
-        return 1;
-    }
-    if (opts.metrics)
+    const Options opts = parse(argc, argv);
+    if (opts.metrics.on)
         obs::setMetricsEnabled(true);
 
     serve::ModelState state;
@@ -204,30 +149,8 @@ run(int argc, char **argv)
     if (state.ensemble || state.space)
         server.setModel(std::move(state));
     server.start();
-
-    g_server = &server;
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGPIPE, SIG_IGN);
-
-    std::printf("serving on %s:%u\n", opts.server.addr.c_str(),
-                server.port());
-    std::fflush(stdout);
-    if (!opts.portFile.empty()) {
-        // Written after listen() succeeds: scripts poll this file to
-        // learn the ephemeral port.
-        FILE *f = std::fopen(opts.portFile.c_str(), "w");
-        if (!f)
-            throw std::runtime_error("cannot write port file " +
-                                     opts.portFile);
-        std::fprintf(f, "%u\n", server.port());
-        std::fclose(f);
-    }
-
-    server.waitForStopRequest();
-    std::printf("draining...\n");
-    server.stop();
-    g_server = nullptr;
+    cli::serveUntilSignal(server, "serving", opts.server.addr,
+                          opts.portFile);
 
     const auto stats = server.statsSnapshot();
     std::printf("served %llu requests (%llu predictions, "
@@ -241,8 +164,8 @@ run(int argc, char **argv)
                 static_cast<unsigned long long>(
                     stats.connectionsAccepted));
 
-    if (opts.metrics)
-        obs::reportGlobalMetrics(opts.metricsPath);
+    if (opts.metrics.on)
+        obs::reportGlobalMetrics(opts.metrics.path);
     return 0;
 }
 
@@ -251,16 +174,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "dse_serve: invalid input: %s\n", e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "dse_serve: error: %s\n", e.what());
-        return 3;
-    } catch (...) {
-        std::fprintf(stderr, "dse_serve: unknown fatal error\n");
-        return 4;
-    }
+    return cli::main("dse_serve", kUsage, run, argc, argv);
 }

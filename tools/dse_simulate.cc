@@ -12,39 +12,35 @@
  *   dse_simulate --study=memory --app=twolf --simpoint --index=7
  */
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "cli.hh"
 #include "study/harness.hh"
 #include "util/metrics.hh"
-#include "util/table.hh"
 
 using namespace dse;
 
 namespace {
 
-void
-usage()
-{
-    std::puts(
-        "usage: dse_simulate [--study=memory|processor] [--app=<name>]\n"
-        "               [--index=<n> | Param=value ...] [--simpoint]\n"
-        "               [--metrics[=path]]\n"
-        "Runs one detailed simulation and prints its statistics.\n"
-        "--metrics collects dse::obs metrics and prints them as a\n"
-        "table (or writes JSON to <path>) before exiting.\n"
-        "Param=value entries override the space's middle point; use\n"
-        "dse_explore --describe-space for names and levels.\n"
-        "exit codes: 0 ok, 1 bad usage, 2 invalid input, 3 runtime\n"
-        "or I/O failure, 4 internal");
-}
+const char *const kUsage =
+    "usage: dse_simulate [--study=memory|processor] [--app=<name>]\n"
+    "               [--index=<n> | Param=value ...] [--simpoint]\n"
+    "               [--metrics[=path]]\n"
+    "Runs one detailed simulation and prints its statistics.\n"
+    "--metrics collects dse::obs metrics and prints them as a\n"
+    "table (or writes JSON to <path>) before exiting.\n"
+    "Param=value entries override the space's middle point; use\n"
+    "dse_explore --describe-space for names and levels.\n"
+    "exit codes: 0 ok, 1 bad usage, 2 invalid input, 3 runtime\n"
+    "or I/O failure, 4 internal";
 
 int
 levelOfValue(const ml::DesignSpace &space, size_t p,
-             const std::string &value)
+             const std::string &name, const std::string &value)
 {
     const auto &desc = space.param(p);
     if (desc.kind == ml::ParamKind::Nominal) {
@@ -53,13 +49,13 @@ levelOfValue(const ml::DesignSpace &space, size_t p,
                 return l;
         }
     } else {
-        const double v = std::atof(value.c_str());
+        const double v = cli::parseReal(name.c_str(), value);
         for (int l = 0; l < desc.numLevels(); ++l) {
             if (desc.values[static_cast<size_t>(l)] == v)
                 return l;
         }
     }
-    return -1;
+    throw cli::UsageError("'" + value + "' is not a level of " + name);
 }
 
 int
@@ -69,46 +65,32 @@ run(int argc, char **argv)
     std::string app = "gzip";
     bool use_simpoint = false;
     bool have_index = false;
-    bool metrics = false;
-    std::string metrics_path;
+    cli::Metrics metrics;
     uint64_t index = 0;
     std::vector<std::pair<std::string, std::string>> overrides;
 
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--study=", 0) == 0) {
-            const std::string v = arg.substr(8);
-            kind = (v == "processor") ? study::StudyKind::Processor
-                                      : study::StudyKind::MemorySystem;
-        } else if (arg.rfind("--app=", 0) == 0) {
-            app = arg.substr(6);
-        } else if (arg.rfind("--index=", 0) == 0) {
-            index = static_cast<uint64_t>(
-                std::atoll(arg.c_str() + 8));
+        cli::Arg a(argv[i]);
+        if (a.has("--study")) {
+            kind = a.study();
+        } else if (a.has("--app")) {
+            app = a.value();
+        } else if (a.has("--index")) {
+            index = a.count();
             have_index = true;
-        } else if (arg == "--simpoint") {
+        } else if (a.is("--simpoint")) {
             use_simpoint = true;
-        } else if (arg == "--metrics") {
-            metrics = true;
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            metrics = true;
-            metrics_path = arg.substr(10);
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg.find('=') != std::string::npos) {
-            const auto eq = arg.find('=');
-            overrides.emplace_back(arg.substr(0, eq),
-                                   arg.substr(eq + 1));
+        } else if (a.metrics(metrics)) {
+            continue;
+        } else if (const char *eq = std::strchr(argv[i], '=')) {
+            overrides.emplace_back(std::string(argv[i], eq - argv[i]),
+                                   eq + 1);
         } else {
-            std::fprintf(stderr, "unknown argument '%s'\n",
-                         arg.c_str());
-            usage();
-            return 1;
+            a.unknown();
         }
     }
 
-    if (metrics)
+    if (metrics.on)
         obs::setMetricsEnabled(true);
 
     study::StudyContext ctx(kind, app);
@@ -123,35 +105,25 @@ run(int argc, char **argv)
             try {
                 p = space.paramIndex(name);
             } catch (const std::exception &) {
-                std::fprintf(stderr, "unknown parameter '%s'\n",
-                             name.c_str());
-                return 1;
+                throw cli::UsageError("unknown parameter '" + name + "'");
             }
-            const int level = levelOfValue(space, p, value);
-            if (level < 0) {
-                std::fprintf(stderr,
-                             "'%s' is not a level of %s\n",
-                             value.c_str(), name.c_str());
-                return 1;
-            }
-            lv[p] = level;
+            lv[p] = levelOfValue(space, p, name, value);
         }
         index = space.index(lv);
+    } else if (index >= space.size()) {
+        throw std::invalid_argument(
+            "design-point index " + std::to_string(index) +
+            " out of range (space has " + std::to_string(space.size()) +
+            " points)");
     }
 
     const auto lv = space.levels(index);
     std::printf("%s / %s, design point %llu:\n",
                 study::studyName(kind), app.c_str(),
                 static_cast<unsigned long long>(index));
-    for (size_t p = 0; p < space.numParams(); ++p) {
-        if (space.param(p).kind == ml::ParamKind::Nominal) {
-            std::printf("  %-16s %s\n", space.param(p).name.c_str(),
-                        space.label(p, lv[p]).c_str());
-        } else {
-            std::printf("  %-16s %g\n", space.param(p).name.c_str(),
-                        space.value(p, lv[p]));
-        }
-    }
+    for (size_t p = 0; p < space.numParams(); ++p)
+        std::printf("  %-16s %s\n", space.param(p).name.c_str(),
+                    space.levelText(p, lv[p]).c_str());
 
     const sim::SimResult r = ctx.simulateFullBatch({index})[0];
     std::printf("\nconfig: %s\n", ctx.config(index).describe().c_str());
@@ -182,9 +154,9 @@ run(int argc, char **argv)
                     ctx.trace().size());
     }
 
-    if (metrics) {
+    if (metrics.on) {
         std::printf("\n");
-        obs::reportGlobalMetrics(metrics_path);
+        obs::reportGlobalMetrics(metrics.path);
     }
     return 0;
 }
@@ -194,18 +166,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // One actionable line and a distinct exit code per failure class;
-    // an unknown benchmark or an unreadable journal must not abort.
-    try {
-        return run(argc, argv);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "dse_simulate: invalid input: %s\n", e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "dse_simulate: error: %s\n", e.what());
-        return 3;
-    } catch (...) {
-        std::fprintf(stderr, "dse_simulate: unknown fatal error\n");
-        return 4;
-    }
+    return cli::main("dse_simulate", kUsage, run, argc, argv);
 }
